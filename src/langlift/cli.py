@@ -155,12 +155,8 @@ def cmd_eval_delta(cfg, ws, args):
                             mode="x", max_new=cfg.eval_max_new)
     b = ev.exact_match_eval(_bundle(ws, args.checkpoint_b, vocab), valid, spec, vocab,
                             mode="x", max_new=cfg.eval_max_new)
-    delta = ev.delta_between(a, b)
-    n = a.n_queries
-    n_win = round(delta.win * n / 100)
-    n_loss = round(delta.loss * n / 100)
-    p = ev.binomial_test(n_win, n_loss) if n_win + n_loss else 1.0
-    doc = {"delta": delta.to_dict(), "binomial_p": p,
+    delta = ev.compute_delta(a.judge_scores, b.judge_scores)
+    doc = {"delta": delta.to_dict(), "binomial_p": delta.p_value,
            "accuracy_a": a.accuracy, "accuracy_b": b.accuracy}
     print(json.dumps(doc, indent=1, sort_keys=True))
 
@@ -170,10 +166,9 @@ def cmd_analyze_forgetting(cfg, ws, args):
     lang, spec, valid = _first_world(cfg, ws)
     from . import datapipe as dp
     rkd_valid = dp.load_records(os.path.join(ws.root, "data", f"valid_rkd_{lang}.jsonl"))
-    report = ev.forgetting_probability(_bundle(ws, args.checkpoint, vocab),
-                                       _bundle(ws, args.reference, vocab),
-                                       rkd_valid, vocab)
-    print(json.dumps(report.to_dict(), indent=1, sort_keys=True))
+    reports = ev.forgetting_probability({args.checkpoint: _bundle(ws, args.checkpoint, vocab)},
+                                        _bundle(ws, args.reference, vocab), rkd_valid, vocab)
+    print(json.dumps(reports[args.checkpoint].to_dict(), indent=1, sort_keys=True))
 
 
 def cmd_analyze_similarity(cfg, ws, args):

@@ -260,9 +260,6 @@ class PackedDataset:
     def examples(self) -> list[TrainExample]:
         return [ex for b in self.batches for ex in b]
 
-    def n_examples(self) -> int:
-        return sum(len(b) for b in self.batches)
-
 
 def _is_document_record(r) -> bool:
     return getattr(r, "kind", "") in CPT_KINDS

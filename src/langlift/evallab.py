@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from . import world as wd
 from .datapipe import RkdRecord, TcotRecord
@@ -39,13 +38,18 @@ class DeltaResult:
     tie: float
     loss: float
     delta: float
+    n_win: int
+    n_tie: int
+    n_loss: int
+    p_value: float      # binomial_test(n_win, n_loss); 1.0 when every pair ties
 
     def to_dict(self) -> dict:
         return {"win": self.win, "tie": self.tie, "loss": self.loss, "delta": self.delta}
 
 
 def compute_delta(scores_a, scores_b) -> DeltaResult:
-    """Win/tie/loss percentages of paired scores and their difference.
+    """Win/tie/loss counts and percentages of paired scores, their
+    difference and the binomial p-value of the wins against the losses.
 
     Ties stay in the denominator: win = %(a>b), tie = %(a==b),
     loss = %(a<b), delta = win - loss.
@@ -61,7 +65,9 @@ def compute_delta(scores_a, scores_b) -> DeltaResult:
     n_loss = sum(1 for x, y in zip(a, b) if x < y)
     n_tie = n - n_win - n_loss
     win, tie, loss = (100.0 * n_win / n, 100.0 * n_tie / n, 100.0 * n_loss / n)
-    return DeltaResult(win=win, tie=tie, loss=loss, delta=win - loss)
+    p_value = binomial_test(n_win, n_loss) if n_win + n_loss else 1.0
+    return DeltaResult(win=win, tie=tie, loss=loss, delta=win - loss,
+                       n_win=n_win, n_tie=n_tie, n_loss=n_loss, p_value=p_value)
 
 
 def binomial_test(n_win: int, n_loss: int) -> float:
@@ -94,6 +100,7 @@ class Chi2Result:
 def chi2_test(table) -> Chi2Result:
     """Pearson chi-squared test of homogeneity on an r x c count table
     (rows are models, columns are outcome categories)."""
+    from scipy import stats  # imported here: it costs about a second at start-up
     counts = np.asarray(table, dtype=np.float64)
     if counts.ndim != 2 or counts.shape[0] < 2 or counts.shape[1] < 2:
         raise EvalError("need a table of at least 2x2 counts")
@@ -105,7 +112,7 @@ def chi2_test(table) -> Chi2Result:
     statistic = float(((counts - expected) ** 2 / expected).sum())
     dof = (counts.shape[0] - 1) * (counts.shape[1] - 1)
     return Chi2Result(statistic=statistic, dof=dof,
-                      p_value=float(sp_stats.chi2.sf(statistic, dof)))
+                      p_value=float(stats.chi2.sf(statistic, dof)))
 
 
 def agreement_rate(judge_a, judge_b, include_ties: bool = True) -> float:
@@ -166,19 +173,28 @@ def _answer_token_probability(bundle: ModelBundle, record: RkdRecord,
     return float(np.mean(probs[rows, answer]))
 
 
-def forgetting_probability(bundle: ModelBundle, reference: ModelBundle,
-                           rkd_valid: list[RkdRecord], vocab: Vocabulary) -> ForgettingReport:
-    """Mean generation probability of held-out teacher answers for a
-    model and the pre-transfer reference, and the absolute gap between
-    them. Both models score the identical forced token sequences."""
+def forgetting_probability(models: dict[str, ModelBundle], reference: ModelBundle,
+                           rkd_valid: list[RkdRecord],
+                           vocab: Vocabulary) -> dict[str, ForgettingReport]:
+    """Mean generation probability of held-out teacher answers for each
+    named model and for the pre-transfer reference, and the absolute gap
+    between them. Every model scores the identical forced token
+    sequences; the reference is scored once for all of them."""
     if not rkd_valid:
         raise EvalError("empty validation set")
-    if bundle.config.vocab_size != reference.config.vocab_size:
+    if any(m.config.vocab_size != reference.config.vocab_size for m in models.values()):
         raise EvalError("models must share a vocabulary")
-    p_model = float(np.mean([_answer_token_probability(bundle, r, vocab) for r in rkd_valid]))
-    p_ref = float(np.mean([_answer_token_probability(reference, r, vocab) for r in rkd_valid]))
-    return ForgettingReport(p_model=p_model, p_original=p_ref,
-                            difference=abs(p_ref - p_model))
+
+    def mean_probability(bundle: ModelBundle) -> float:
+        return float(np.mean([_answer_token_probability(bundle, r, vocab) for r in rkd_valid]))
+
+    p_ref = mean_probability(reference)
+    reports = {}
+    for name, bundle in models.items():
+        p_model = mean_probability(bundle)
+        reports[name] = ForgettingReport(p_model=p_model, p_original=p_ref,
+                                         difference=abs(p_ref - p_model))
+    return reports
 
 
 @dataclass
@@ -342,8 +358,7 @@ def expected_x_answer(spec: wd.ToyLanguageSpec, query_x: str) -> str:
 
 def exact_match_eval(bundle: ModelBundle, queries: list[wd.Query],
                      spec: wd.ToyLanguageSpec, vocab: Vocabulary,
-                     mode: str = "x", max_new: int = 96,
-                     system_prompt=None) -> AccuracyReport:
+                     mode: str = "x", max_new: int = 96) -> AccuracyReport:
     """Greedy-decode each query and score answers against the oracle.
 
     mode "x": queries are posed in the target language; the scored
@@ -354,7 +369,6 @@ def exact_match_eval(bundle: ModelBundle, queries: list[wd.Query],
     """
     if mode not in ("x", "en"):
         raise EvalError(f"unknown eval mode {mode!r}")
-    kwargs = {} if system_prompt is None else {"system_prompt": system_prompt}
     refusal_x = wd.oracle_translate(spec, spec.refusal, "en->x")
     teacher = wd.TeacherOracle(spec)
 
@@ -376,7 +390,7 @@ def exact_match_eval(bundle: ModelBundle, queries: list[wd.Query],
             q_posed = q.text
             expected = teacher.answer(q.text)
             expected_refusal = spec.refusal
-        prompt = render_template(ConversationHistory(pending=q_posed), vocab, **kwargs)
+        prompt = render_template(ConversationHistory(pending=q_posed), vocab)
         out = greedy_decode(bundle, prompt, max_new=max_new, eos_id=vocab.eos_id)
         outputs.append(out)
         answer = None
@@ -418,8 +432,3 @@ def exact_match_eval(bundle: ModelBundle, queries: list[wd.Query],
         outputs=outputs,
         bypass_reject_unclear=(bypass, reject, unclear),
     )
-
-
-def delta_between(report_a: AccuracyReport, report_b: AccuracyReport) -> DeltaResult:
-    """Pairwise comparison of two models' oracle judge scores."""
-    return compute_delta(report_a.judge_scores, report_b.judge_scores)

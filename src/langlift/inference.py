@@ -156,8 +156,8 @@ def parse_tcot(output_ids: list[int], vocab: Vocabulary,
 
 
 def build_multiturn_input(prior_turns: list[tuple[str, TcotParse]], new_query_x: str,
-                          vocab: Vocabulary, use_x_history: bool = False,
-                          spec=None) -> ConversationHistory:
+                          vocab: Vocabulary,
+                          use_x_history: bool = False) -> ConversationHistory:
     """Assemble the conversation for the next target-language turn.
 
     Only the source-language portions of past outputs become history

@@ -565,19 +565,19 @@ def _verdicts(scores_a, scores_b):
     return out
 
 
-def _multiturn_probe(bundle, valid_q, spec, vocab, max_new: int) -> float:
+def _multiturn_probe(bundle, valid_q, first_turns, spec, vocab, max_new: int) -> float:
     """Share of second turns that still come back as a well-formed chain
-    when the first turn's source-language portions form the history."""
-    probes = [q for q in valid_q if not q.harmful][:8]
+    when the first turn's source-language portions form the history.
+    `first_turns` holds the bundle's own decode of each validation query,
+    so only the second turns are decoded here."""
+    probes = [(q, out) for q, out in zip(valid_q, first_turns) if not q.harmful][:8]
     if len(probes) < 2:
         return 0.0
     ok = 0
     total = 0
-    for q1, q2 in zip(probes[::2], probes[1::2]):
+    for (q1, out1), (q2, _) in zip(probes[::2], probes[1::2]):
         qx1 = wd.oracle_translate(spec, q1.text, "en->x")
         qx2 = wd.oracle_translate(spec, q2.text, "en->x")
-        prompt = render_template(ConversationHistory(pending=qx1), vocab)
-        out1 = greedy_decode(bundle, prompt, max_new=max_new, eos_id=vocab.eos_id)
         total += 1
         try:
             parse1 = parse_tcot(out1, vocab, language=spec.language)
@@ -613,11 +613,7 @@ def step_evaluate(cfg: RunConfig, ws: Workspace) -> dict:
                                         mode="x", max_new=cfg.eval_max_new)
         acc_direct = ev.exact_match_eval(direct, valid_q, spec, full_vocab,
                                          mode="x", max_new=cfg.eval_max_new)
-        delta = ev.delta_between(acc_final, acc_direct)
-        n_win = round(delta.win * acc_final.n_queries / 100)
-        n_loss = round(delta.loss * acc_final.n_queries / 100)
-        p_value = (ev.binomial_test(n_win, n_loss)
-                   if n_win + n_loss else 1.0)
+        delta = ev.compute_delta(acc_final.judge_scores, acc_direct.judge_scores)
 
         # safety table over outcome categories, zero-sum columns dropped
         table = [list(acc_final.bypass_reject_unclear),
@@ -636,14 +632,9 @@ def step_evaluate(cfg: RunConfig, ws: Workspace) -> dict:
         tcot_valid = [r for r in dp.load_records(
             os.path.join(ws.root, "data", f"valid_tcot_{lang}.jsonl"))]
 
-        forgetting = {
-            "cpt_only": ev.forgetting_probability(cpt_only, reference, rkd_valid,
-                                                  full_vocab).to_dict(),
-            "final": ev.forgetting_probability(final, reference, rkd_valid,
-                                               full_vocab).to_dict(),
-            "direct_sft": ev.forgetting_probability(direct, reference, rkd_valid,
-                                                    full_vocab).to_dict(),
-        }
+        forgetting = {name: r.to_dict() for name, r in ev.forgetting_probability(
+            {"cpt_only": cpt_only, "final": final, "direct_sft": direct},
+            reference, rkd_valid, full_vocab).items()}
 
         similarity = (ev.hidden_similarity(final, tcot_valid, full_vocab, language=lang)
                       .to_dict() if final.adapters is not None else None)
@@ -687,15 +678,15 @@ def step_evaluate(cfg: RunConfig, ws: Workspace) -> dict:
         report["per_language"][lang] = {
             "accuracy": {"final": acc_final.to_dict(), "direct_sft": acc_direct.to_dict()},
             "delta_final_vs_direct": delta.to_dict(),
-            "binomial": {"n_win": n_win, "n_loss": n_loss, "p_value": p_value,
-                         "significant": p_value < 0.05},
+            "binomial": {"n_win": delta.n_win, "n_loss": delta.n_loss,
+                         "p_value": delta.p_value, "significant": delta.p_value < 0.05},
             "safety_chi2": chi2,
             "forgetting": forgetting,
             "hidden_similarity": similarity,
             "judge_agreement": agreement,
             "attention_x_row_mass": attention_summary,
-            "multiturn_chain_rate": _multiturn_probe(final, valid_q, spec, full_vocab,
-                                                     cfg.eval_max_new),
+            "multiturn_chain_rate": _multiturn_probe(final, valid_q, acc_final.outputs,
+                                                     spec, full_vocab, cfg.eval_max_new),
         }
 
     report_path = ws.write_json("report/report.json", report)

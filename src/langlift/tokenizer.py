@@ -84,9 +84,6 @@ class Vocabulary:
     def eos_id(self) -> int:
         return self.special_id(EOS)
 
-    def is_special(self, token_id: int) -> bool:
-        return self.id_to_token[token_id] in self.specials
-
     # -- encode / decode ----------------------------------------------------
 
     def encode(self, text: str) -> list[int]:
@@ -315,11 +312,3 @@ def merge_vocab(original: Vocabulary, learned: Vocabulary, specials: list[str]) 
         if a + b in new_specials:
             raise SpecialTokenConflict(f"merge rule would produce reserved token {a + b!r}")
     return merged
-
-
-def encode(text: str, vocab: Vocabulary) -> list[int]:
-    return vocab.encode(text)
-
-
-def decode(ids, vocab: Vocabulary) -> str:
-    return vocab.decode(ids)

@@ -70,9 +70,6 @@ class AblationToggles:
     template: str = "special-tokens"   # "special-tokens" | "natural-language"
 
     def __post_init__(self):
-        if not (self.use_rkd or self.use_tcot):
-            # the direct-SFT ablation replaces both with target-language data
-            pass
         if self.teacher not in ("original", "external"):
             raise TrainerError(f"unknown teacher {self.teacher!r}")
         if self.template not in ("special-tokens", "natural-language"):

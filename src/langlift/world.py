@@ -219,10 +219,6 @@ class TeacherOracle:
         raise UnsupportedTaskError(f"no task pattern matches query {query!r}")
 
 
-def teacher_answer(spec: ToyLanguageSpec, query: str) -> str:
-    return TeacherOracle(spec).answer(query)
-
-
 class ExternalTeacher(TeacherOracle):
     """A competent but differently-voiced answerer: correct content with
     a fixed preamble word. Distilling from it injects a distribution the

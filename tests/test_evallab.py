@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +55,29 @@ def test_delta_sums_to_100_and_antisymmetric(pairs):
     r_ba = ev.compute_delta(b, a)
     assert abs(r_ab.win + r_ab.tie + r_ab.loss - 100.0) < 0.01
     assert abs(r_ab.delta + r_ba.delta) < 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=40))
+def test_delta_counts_and_binomial_p(pairs):
+    a = [p[0] for p in pairs]
+    b = [p[1] for p in pairs]
+    r = ev.compute_delta(a, b)
+    assert r.n_win + r.n_tie + r.n_loss == len(pairs)
+    assert r.n_win == sum(x > y for x, y in pairs)
+    assert r.n_loss == sum(x < y for x, y in pairs)
+    assert r.win == 100.0 * r.n_win / len(pairs)
+    if r.n_win + r.n_loss:
+        assert r.p_value == ev.binomial_test(r.n_win, r.n_loss)
+    else:
+        assert r.p_value == 1.0
+
+
+def test_delta_to_dict_keeps_percentages_only():
+    r = ev.compute_delta([10, 10, 1, 10], [1, 10, 1, 1])
+    assert r.to_dict() == {"win": 50.0, "tie": 50.0, "loss": 0.0, "delta": 50.0}
+    assert (r.n_win, r.n_tie, r.n_loss) == (2, 2, 0)
+    assert r.p_value == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +216,35 @@ def rkd_valid(toy):
 
 def test_forgetting_self_is_zero(toy, rkd_valid):
     bundle = small_bundle(len(toy.vocab))
-    report = ev.forgetting_probability(bundle, bundle, rkd_valid, toy.vocab)
-    assert report.difference == 0.0
+    reports = ev.forgetting_probability({"self": bundle}, bundle, rkd_valid, toy.vocab)
+    assert list(reports) == ["self"]
+    assert reports["self"].difference == 0.0
+
+
+def test_forgetting_scores_the_reference_once(toy, rkd_valid, monkeypatch):
+    v = len(toy.vocab)
+    reference = small_bundle(v, seed=1)
+    models = {name: small_bundle(v, seed=s) for name, s in (("a", 2), ("b", 3), ("c", 4))}
+    calls = []
+    forward = ev.forward
+
+    def counting_forward(ids, weights, *a, **kw):
+        calls.append(id(weights))
+        return forward(ids, weights, *a, **kw)
+
+    monkeypatch.setattr(ev, "forward", counting_forward)
+    reports = ev.forgetting_probability(models, reference, rkd_valid, toy.vocab)
+    assert calls.count(id(reference.weights)) == len(rkd_valid)
+    assert all(calls.count(id(m.weights)) == len(rkd_valid) for m in models.values())
+    assert list(reports) == ["a", "b", "c"]
+    p_ref = reports["a"].p_original
+    for name, r in reports.items():
+        assert r.p_original == p_ref
+        assert r.difference == abs(p_ref - r.p_model)
+        # each entry matches scoring that model against the reference alone
+        alone = ev.forgetting_probability({name: models[name]}, reference,
+                                          rkd_valid, toy.vocab)[name]
+        assert alone == r
 
 
 def test_forgetting_reference_arithmetic():
@@ -228,7 +282,7 @@ def test_forgetting_hand_logits(toy, rkd_valid, monkeypatch):
 def test_forgetting_empty_rejected(toy):
     bundle = small_bundle(len(toy.vocab))
     with pytest.raises(ev.EvalError):
-        ev.forgetting_probability(bundle, bundle, [], toy.vocab)
+        ev.forgetting_probability({"self": bundle}, bundle, [], toy.vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +412,15 @@ def test_exact_match_unparseable_counts_as_failure(toy, monkeypatch):
     assert report.refusal_rate is None  # no harmful queries in the set
 
 
-def test_delta_between_reports(toy):
-    a = ev.AccuracyReport(accuracy=0, parse_rate=0, refusal_rate=None, n_queries=4,
-                          judge_scores=[10, 10, 1, 10])
-    b = ev.AccuracyReport(accuracy=0, parse_rate=0, refusal_rate=None, n_queries=4,
-                          judge_scores=[1, 10, 1, 1])
-    r = ev.delta_between(a, b)
-    assert r.win == 50.0 and r.loss == 0.0 and r.delta == 50.0
+# ---------------------------------------------------------------------------
+# start-up cost
+# ---------------------------------------------------------------------------
+
+def test_pipeline_import_leaves_scipy_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, langlift.pipeline; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

@@ -4,8 +4,11 @@ from pathlib import Path
 import pytest
 
 from langlift import datapipe as dp
+from langlift import evallab as ev
 from langlift import pipeline as pl
 from langlift import tokenizer as tok
+from langlift import world as wd
+from langlift.inference import ConversationHistory, render_template
 
 
 def run_steps_until_data(cfg, workdir):
@@ -110,3 +113,47 @@ def test_manifest_reproducibility_fields(tmp_path):
     # config on disk reproduces the hash
     loaded = pl.RunConfig.from_json(Path(tmp_path, "config.json").read_text())
     assert loaded.hash() == cfg.hash()
+
+
+def test_evaluate_decodes_each_query_once(tmp_path, monkeypatch):
+    """Each model decodes each validation query once, and the multi-turn
+    probe decodes only its second turns. First turns come back as oracle
+    chains so that the probe reaches every second turn."""
+    cfg = pl.tiny_config(seed=9)
+    pl.run_all(cfg, str(tmp_path))
+    ws = pl.Workspace(str(tmp_path))
+    _, vocab = pl._vocabs(ws)
+    data = pl._load_world(cfg, ws, "X")
+    spec, valid_q = data["spec"], data["valid_q"]
+    teacher = wd.TeacherOracle(spec)
+    chains = {}
+    for q in valid_q:
+        q_x = wd.oracle_translate(spec, q.text, "en->x")
+        prompt = tuple(render_template(ConversationHistory(pending=q_x), vocab))
+        chains[prompt] = ([vocab.special_id(tok.EN)] + vocab.encode(q.text)
+                          + [vocab.special_id(tok.RESPONSE)]
+                          + vocab.encode(teacher.answer(q.text))
+                          + [vocab.special_id(tok.lang_token("X"))]
+                          + vocab.encode(ev.expected_x_answer(spec, q_x)) + [vocab.eos_id])
+
+    first_turns, second_turns = [], []
+    real_decode = pl.greedy_decode
+
+    def counting_decode(bundle, prompt_ids, max_new, eos_id=None):
+        key = tuple(prompt_ids)
+        if key in chains:
+            first_turns.append((id(bundle), key))
+            return list(chains[key])
+        second_turns.append(key)
+        return real_decode(bundle, prompt_ids, max_new, eos_id=eos_id)
+
+    monkeypatch.setattr(ev, "greedy_decode", counting_decode)
+    monkeypatch.setattr(pl, "greedy_decode", counting_decode)
+    report = pl.step_evaluate(cfg, ws)
+
+    assert len(first_turns) == 2 * len(valid_q)
+    assert len(set(first_turns)) == len(first_turns)
+    n_pairs = min(8, sum(not q.harmful for q in valid_q)) // 2
+    assert n_pairs >= 2
+    assert len(second_turns) == n_pairs
+    assert report["per_language"]["X"]["accuracy"]["final"]["accuracy"] == 100.0
