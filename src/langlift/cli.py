@@ -2,19 +2,22 @@
 
 Every subcommand reads the run config (workdir/config.json unless
 --config points elsewhere), applies flag overrides, executes one
-pipeline step against the workdir, and appends to the run manifest.
-run-all executes the whole chain and prints the report location.
+pipeline step against the workdir under its lock when the step writes
+there, and appends to the run manifest. run-all executes the whole
+chain and prints the report location.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 
 import numpy as np
 
+from . import datapipe as dp
 from . import evallab as ev
 from . import pipeline as pl
 from . import tokenizer as tok
@@ -22,7 +25,6 @@ from . import world as wd
 from .inference import (ConversationHistory, ParseError, build_multiturn_input,
                         greedy_decode, parse_tcot, render_template)
 from .model import ModelError, load_bundle
-from .trainer import load_checkpoint
 
 
 class CliError(SystemExit):
@@ -66,7 +68,7 @@ def _bundle(ws: pl.Workspace, name: str, vocab):
     if not os.path.isdir(path):
         raise CliError(f"no checkpoint at {path}; train it first")
     try:
-        bundle, _, _ = load_checkpoint(path, expect_vocab_hash=tok.vocab_hash(vocab))
+        bundle, _ = load_bundle(path, expect_vocab_hash=tok.vocab_hash(vocab))
     except ModelError as e:
         raise CliError(str(e))
     return bundle
@@ -89,14 +91,10 @@ def cmd_build_data(cfg, ws, args):
 
 
 def cmd_train(cfg, ws, args):
-    if args.stage in ("original-lm", "original-chat"):
-        pl.step_train_original(cfg, ws)
-    elif args.stage == "extend":
+    if args.stage == "extend":
         pl.step_extend(cfg, ws)
-    elif args.stage in ("target-cpt", "translation-cpt", "transform-sft", "direct-sft"):
-        pl.step_train_transfer(cfg, ws)
     else:
-        raise CliError(f"unknown training stage {args.stage!r}")
+        pl.train_phases(cfg, ws, args.stage, [args.stage])
 
 
 def cmd_infer(cfg, ws, args):
@@ -164,7 +162,6 @@ def cmd_eval_delta(cfg, ws, args):
 def cmd_analyze_forgetting(cfg, ws, args):
     vocab = _vocab(ws)
     lang, spec, valid = _first_world(cfg, ws)
-    from . import datapipe as dp
     rkd_valid = dp.load_records(os.path.join(ws.root, "data", f"valid_rkd_{lang}.jsonl"))
     reports = ev.forgetting_probability({args.checkpoint: _bundle(ws, args.checkpoint, vocab)},
                                         _bundle(ws, args.reference, vocab), rkd_valid, vocab)
@@ -174,7 +171,6 @@ def cmd_analyze_forgetting(cfg, ws, args):
 def cmd_analyze_similarity(cfg, ws, args):
     vocab = _vocab(ws)
     lang, spec, valid = _first_world(cfg, ws)
-    from . import datapipe as dp
     tcot_valid = dp.load_records(os.path.join(ws.root, "data", f"valid_tcot_{lang}.jsonl"))
     bundle = _bundle(ws, args.checkpoint, vocab)
     if bundle.adapters is None:
@@ -222,10 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("merge-vocab", help="merge vocabularies and reserve special tokens")
     sub.add_parser("build-data", help="construct all training-data formats")
 
-    p = sub.add_parser("train", help="run a training phase (and its prerequisites within the phase group)")
-    p.add_argument("--stage", required=True,
-                   choices=["original-lm", "original-chat", "extend", "target-cpt",
-                            "translation-cpt", "transform-sft", "direct-sft"])
+    p = sub.add_parser("train", help="run one training phase from its start checkpoint")
+    p.add_argument("--stage", required=True, choices=["extend", *pl.PHASES])
     for flag, typ in [("peak-lr", float), ("warmup-ratio", float), ("weight-decay", float),
                       ("batch-size", int), ("grad-accum", int), ("max-epochs", int),
                       ("valid-every", int), ("seed", int), ("max-steps", int)]:
@@ -281,8 +275,11 @@ def main(argv=None) -> int:
     cfg = _load_config(args)
     _apply_stage_overrides(cfg, args)
     ws = pl.Workspace(args.workdir)
+    # run-all takes the lock inside run_all
+    locked = args.cmd in ("gen-world", "learn-vocab", "merge-vocab", "build-data", "train")
     try:
-        COMMANDS[args.cmd](cfg, ws, args)
+        with ws.lock() if locked else contextlib.nullcontext():
+            COMMANDS[args.cmd](cfg, ws, args)
     except (pl.PipelineError, tok.TokenizerError, ModelError) as e:
         raise CliError(str(e))
     return 0

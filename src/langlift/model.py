@@ -10,6 +10,7 @@ until trained, and merging folds scale * down @ up into the base matrix.
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field
@@ -121,29 +122,37 @@ def _t(rng, shape, std, dtype):
     return nc.Tensor(rng.normal(0.0, std, size=shape).astype(dtype))
 
 
-def init_weights(config: ModelConfig, seed: int, dtype=np.float32) -> TransformerWeights:
-    rng = np.random.default_rng([seed, 201])
+def _build_weights(config: ModelConfig, make) -> TransformerWeights:
+    """The weights of `config`, each tensor from make(name, shape), made
+    in the order init_weights draws them."""
     d, ff, v = config.d_model, config.d_ff, config.vocab_size
-    ones = lambda n: nc.Tensor(np.ones(n, dtype=dtype))
-    zeros = lambda n: nc.Tensor(np.zeros(n, dtype=dtype))
-    layers = []
-    for _ in range(config.n_layers):
-        layers.append(LayerWeights(
-            ln1_g=ones(d), ln1_b=zeros(d),
-            wq=_t(rng, (d, d), 0.02, dtype), wk=_t(rng, (d, d), 0.02, dtype),
-            wv=_t(rng, (d, d), 0.02, dtype), wo=_t(rng, (d, d), 0.02, dtype),
-            ln2_g=ones(d), ln2_b=zeros(d),
-            w_gate=_t(rng, (d, ff), 0.02, dtype), w_up=_t(rng, (d, ff), 0.02, dtype),
-            w_down=_t(rng, (ff, d), 0.02, dtype),
-        ))
+    shapes = {"ln1_g": (d,), "ln1_b": (d,), "wq": (d, d), "wk": (d, d), "wv": (d, d),
+              "wo": (d, d), "ln2_g": (d,), "ln2_b": (d,), "w_gate": (d, ff),
+              "w_up": (d, ff), "w_down": (ff, d)}
+    layers = [LayerWeights(**{f: make(f"layers.{i}.{f}", shape) for f, shape in shapes.items()})
+              for i in range(config.n_layers)]
     return TransformerWeights(
         config=config,
-        embed=_t(rng, (v, d), 0.02, dtype),
-        pos=_t(rng, (config.max_seq_len, d), 0.02, dtype),
+        embed=make("embed", (v, d)),
+        pos=make("pos", (config.max_seq_len, d)),
         layers=layers,
-        lnf_g=ones(d), lnf_b=zeros(d),
-        head=_t(rng, (d, v), 0.02, dtype),
+        lnf_g=make("lnf_g", (d,)), lnf_b=make("lnf_b", (d,)),
+        head=make("head", (d, v)),
     )
+
+
+def init_weights(config: ModelConfig, seed: int, dtype=np.float32) -> TransformerWeights:
+    rng = np.random.default_rng([seed, 201])
+
+    def make(name, shape):
+        # layer-norm gains start at one, their biases at zero
+        if name.endswith("_g"):
+            return nc.Tensor(np.ones(shape, dtype=dtype))
+        if name.endswith("_b"):
+            return nc.Tensor(np.zeros(shape, dtype=dtype))
+        return _t(rng, shape, 0.02, dtype)
+
+    return _build_weights(config, make)
 
 
 # ---------------------------------------------------------------------------
@@ -177,23 +186,34 @@ def _target_dims(config: ModelConfig, target: str) -> tuple[int, int]:
     return ff, d
 
 
-def init_adapters(config: ModelConfig, seed: int, dtype=np.float32) -> list[dict[str, LoraAdapter]]:
-    """One adapter per configured target per layer."""
-    rng = np.random.default_rng([seed, 202])
-    scale = config.lora_alpha / config.lora_rank
+def _build_adapters(config: ModelConfig, make, scale: float) -> list[dict[str, LoraAdapter]]:
+    """One adapter per configured target per layer, each matrix from
+    make(name, shape)."""
     adapters = []
-    for _ in range(config.n_layers):
+    for i in range(config.n_layers):
         per_layer = {}
         for target in config.lora_targets:
             d_in, d_out = _target_dims(config, target)
+            prefix = f"layers.{i}.lora.{target}"
             per_layer[target] = LoraAdapter(
-                down=_t(rng, (d_in, config.lora_rank), 0.02, dtype),
-                up=nc.Tensor(np.zeros((config.lora_rank, d_out), dtype=dtype)),
+                down=make(f"{prefix}.down", (d_in, config.lora_rank)),
+                up=make(f"{prefix}.up", (config.lora_rank, d_out)),
                 scale=scale,
                 dropout=config.lora_dropout,
             )
         adapters.append(per_layer)
     return adapters
+
+
+def init_adapters(config: ModelConfig, seed: int, dtype=np.float32) -> list[dict[str, LoraAdapter]]:
+    rng = np.random.default_rng([seed, 202])
+
+    def make(name, shape):
+        if name.endswith(".up"):
+            return nc.Tensor(np.zeros(shape, dtype=dtype))
+        return _t(rng, shape, 0.02, dtype)
+
+    return _build_adapters(config, make, config.lora_alpha / config.lora_rank)
 
 
 def adapters_named(adapters):
@@ -418,8 +438,9 @@ CHECKPOINT_BLOB = "weights.bin"
 
 
 def write_checkpoint(path: str, named_arrays: dict[str, np.ndarray], meta: dict) -> None:
-    """Manifest (tensor names, shapes, byte offsets, meta) plus one blob
-    of little-endian float32. load(save(x)) is bit-exact."""
+    """Manifest (tensor names, shapes, byte offsets, meta, the blob's
+    size and sha256) plus one blob of little-endian float32, each
+    replaced whole. load(save(x)) is bit-exact."""
     os.makedirs(path, exist_ok=True)
     entries = []
     offset = 0
@@ -434,9 +455,13 @@ def write_checkpoint(path: str, named_arrays: dict[str, np.ndarray], meta: dict)
         })
         chunks.append(arr.tobytes())
         offset += arr.nbytes
-    manifest = {"format": "langlift-checkpoint-v1", "meta": meta, "tensors": entries}
-    with open(os.path.join(path, CHECKPOINT_BLOB), "wb") as f:
-        f.write(b"".join(chunks))
+    blob = b"".join(chunks)
+    manifest = {"format": "langlift-checkpoint-v1", "meta": meta, "tensors": entries,
+                "nbytes": len(blob), "sha256": hashlib.sha256(blob).hexdigest()}
+    tmp = os.path.join(path, CHECKPOINT_BLOB + ".tmp")
+    with open(tmp, "wb") as f:
+        f.write(blob)
+    os.replace(tmp, os.path.join(path, CHECKPOINT_BLOB))
     tmp = os.path.join(path, CHECKPOINT_MANIFEST + ".tmp")
     with open(tmp, "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
@@ -450,6 +475,10 @@ def read_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
         raise ModelError(f"{path} is not a langlift checkpoint")
     with open(os.path.join(path, CHECKPOINT_BLOB), "rb") as f:
         blob = f.read()
+    if (len(blob) != manifest.get("nbytes")
+            or hashlib.sha256(blob).hexdigest() != manifest.get("sha256")):
+        raise ModelError(f"{path}: {CHECKPOINT_BLOB} does not match the size and sha256 "
+                         f"its manifest records")
     arrays = {}
     for e in manifest["tensors"]:
         raw = blob[e["offset"]:e["offset"] + e["nbytes"]]
@@ -479,20 +508,17 @@ def load_bundle(path: str, expect_vocab_hash: str | None = None) -> tuple[ModelB
             f"expected {expect_vocab_hash!r}"
         )
     config = ModelConfig.from_dict(meta["config"])
-    weights = init_weights(config, seed=0)
-    bundle = ModelBundle(config=config, weights=weights, vocab_hash=meta.get("vocab_hash", ""))
-    if meta.get("has_adapters"):
-        bundle.adapters = init_adapters(config, seed=0)
-        scale = meta.get("adapter_scale")
-        if scale is not None:
-            for per_layer in bundle.adapters:
-                for a in per_layer.values():
-                    a.scale = float(scale)
-    for name, tensor in bundle.named_parameters():
+
+    def stored(name, shape):
         if name not in arrays:
             raise ModelError(f"checkpoint is missing tensor {name!r}")
-        if tuple(arrays[name].shape) != tensor.shape:
+        if arrays[name].shape != shape:
             raise ModelError(f"checkpoint tensor {name!r} has shape {arrays[name].shape}, "
-                             f"expected {tensor.shape}")
-        tensor.data = arrays[name]
+                             f"expected {shape}")
+        return nc.Tensor(arrays[name])
+
+    bundle = ModelBundle(config=config, weights=_build_weights(config, stored),
+                         vocab_hash=meta.get("vocab_hash", ""))
+    if meta.get("has_adapters"):
+        bundle.adapters = _build_adapters(config, stored, meta["adapter_scale"])
     return bundle, meta

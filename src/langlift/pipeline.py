@@ -106,7 +106,6 @@ class RunConfig:
     sft_max_len: int = 160
     eval_max_new: int = 64
     translation_fraction: float = 0.2
-    merge_after_stages: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=1, sort_keys=True)
@@ -412,71 +411,108 @@ def _guard_vocab(ws: Workspace, name: str, vocab) -> None:
             f"({manifest['vocab_hash']} != {tok.vocab_hash(vocab)}); rebuild the data")
 
 
-def _packed(cfg: RunConfig, ws: Workspace, name: str, kind: str, vocab,
-            batch_size: int) -> dp.PackedDataset:
+def _packed(cfg: RunConfig, ws: Workspace, name: str, kind: str, vocab) -> dp.PackedDataset:
     _guard_vocab(ws, name, vocab)
     records = dp.load_records(os.path.join(ws.root, "data", name + ".jsonl"))
     max_len = cfg.cpt_window if kind != "transform-sft" else cfg.sft_max_len
     return dp.pack_and_mix(records, pad_id=vocab.pad_id, seed=cfg.seed, kind=kind,
-                           max_len=max_len, batch_size=batch_size,
-                           eos_id=vocab.eos_id)
+                           max_len=max_len, eos_id=vocab.eos_id)
 
 
-def _valid_examples(cfg, ws, name, kind, vocab):
-    packed = _packed(cfg, ws, name, kind, vocab, batch_size=8)
-    return packed.examples[:64]
+def _load_ckpt(ws: Workspace, name: str, vocab) -> ModelBundle:
+    bundle, _ = load_bundle(os.path.join(ws.root, "checkpoints", name),
+                            expect_vocab_hash=tok.vocab_hash(vocab))
+    return bundle
 
 
-def _metrics_log(ws: Workspace, phase: str):
-    path = ws.path("metrics", f"{phase}.jsonl")
-    f = open(path, "w", encoding="utf-8")
+@dataclass(frozen=True)
+class Phase:
+    data: str                     # training set under data/
+    start: str | None             # checkpoint it starts from; None: fresh weights
+    saves: str                    # checkpoint it saves
+    valid: str | None = None      # validation set for best-checkpoint selection
+    transfer: bool = True         # adapters over the full vocabulary, else full-parameter
+    fold_seed: int | None = None  # seed offset of the adapter fold under use_lora: false
+    merged: str | None = None     # checkpoint saved with the adapters folded in
 
-    def log(entry: dict) -> None:
-        f.write(json.dumps(entry, sort_keys=True) + "\n")
-        f.flush()
 
-    return path, f, log
+# training phases in run order; each one's data kind and optimizer
+# settings are RunConfig.stages[phase]
+PHASES = {
+    "original-lm": Phase("original_lm", None, "original_lm", transfer=False),
+    "original-chat": Phase("original_chat", "original_lm", "original", valid="valid_chat",
+                           transfer=False),
+    "target-cpt": Phase("stage1", "extended", "target_cpt", fold_seed=9),
+    "translation-cpt": Phase("stage2", "target_cpt", "cpt_only", fold_seed=10),
+    "transform-sft": Phase("stage3", "cpt_only", "final_premerge", valid="valid_stage3",
+                           fold_seed=11, merged="final"),
+    # the no-chain baseline branches off the shared stage-2 checkpoint
+    "direct-sft": Phase("ablation_direct", "cpt_only", "direct_sft"),
+}
 
 
-def _run_phase(cfg, ws, bundle, phase, dataset, toggles, valid=None) -> str:
-    stage_cfg = cfg.stage_config(phase)
-    path, f, log = _metrics_log(ws, phase)
-    try:
-        train_stage(bundle, dataset, stage_cfg, toggles=toggles,
+def _train_phase(cfg: RunConfig, ws: Workspace, phase: str) -> list[str]:
+    """Train one phase from its start checkpoint and save what it ends
+    with; returns the paths written.
+
+    A transfer phase starting from a checkpoint without adapters attaches
+    fresh ones. Under use_lora: false the chain stages fold the adapters
+    into the base weights at their end, approximating full-parameter
+    training."""
+    spec = PHASES[phase]
+    base_vocab, full_vocab = _vocabs(ws)
+    vocab = full_vocab if spec.transfer else base_vocab
+    if spec.start is None:
+        model_config = ModelConfig(vocab_size=len(vocab), **cfg.model)
+        bundle = ModelBundle(config=model_config,
+                             weights=init_weights(model_config, seed=cfg.seed),
+                             vocab_hash=tok.vocab_hash(vocab))
+    else:
+        bundle = _load_ckpt(ws, spec.start, vocab)
+    if spec.transfer and bundle.adapters is None:
+        attach_adapters(bundle, seed=cfg.seed + 8)
+
+    kind = cfg.stages[phase]["stage"]
+    dataset = _packed(cfg, ws, spec.data, kind, vocab)
+    valid = (None if spec.valid is None
+             else _packed(cfg, ws, spec.valid, kind, vocab).examples[:64])
+    metrics = ws.path("metrics", f"{phase}.jsonl")
+    with open(metrics, "w", encoding="utf-8") as f:
+        def log(entry: dict) -> None:
+            f.write(json.dumps(entry, sort_keys=True) + "\n")
+            f.flush()
+
+        train_stage(bundle, dataset, cfg.stage_config(phase),
+                    toggles=AblationToggles(use_lora=spec.transfer),
                     valid_examples=valid, select_best=valid is not None, log=log)
-    finally:
-        f.close()
-    return path
+    if spec.fold_seed is not None and not cfg.ablation().use_lora:
+        approx_full_ft(bundle, seed=cfg.seed + spec.fold_seed)
+
+    outputs = [metrics, ws.path("checkpoints", spec.saves)]
+    save_bundle(bundle, outputs[-1], extra_meta={"stage": phase})
+    if spec.merged is not None:
+        merge_adapters(bundle.weights, bundle.adapters)
+        bundle.adapters = None
+        outputs.append(ws.path("checkpoints", spec.merged))
+        save_bundle(bundle, outputs[-1], extra_meta={"stage": phase})
+    return outputs
+
+
+def train_phases(cfg: RunConfig, ws: Workspace, step: str, phases) -> None:
+    """Train `phases` in order and record them as one manifest step."""
+    outputs = []
+    for phase in phases:
+        outputs += _train_phase(cfg, ws, phase)
+    ws.append_manifest(step, cfg.hash(), outputs)
 
 
 def step_train_original(cfg: RunConfig, ws: Workspace) -> None:
-    base_vocab, _ = _vocabs(ws)
-    model_config = ModelConfig(vocab_size=len(base_vocab), **cfg.model)
-    bundle = ModelBundle(config=model_config,
-                         weights=init_weights(model_config, seed=cfg.seed),
-                         vocab_hash=tok.vocab_hash(base_vocab))
-    full = AblationToggles(use_lora=False)
-    outputs = []
-
-    lm_data = _packed(cfg, ws, "original_lm", "target-cpt", base_vocab,
-                      cfg.stages["original-lm"].get("batch_size", 8))
-    outputs.append(_run_phase(cfg, ws, bundle, "original-lm", lm_data, full))
-
-    chat_data = _packed(cfg, ws, "original_chat", "transform-sft", base_vocab,
-                        cfg.stages["original-chat"].get("batch_size", 8))
-    valid = _valid_examples(cfg, ws, "valid_chat", "transform-sft", base_vocab)
-    outputs.append(_run_phase(cfg, ws, bundle, "original-chat", chat_data, full, valid))
-
-    ckpt = ws.path("checkpoints", "original")
-    save_bundle(bundle, ckpt, extra_meta={"stage": "original"})
-    outputs.append(ckpt)
-    ws.append_manifest("train-original", cfg.hash(), outputs)
+    train_phases(cfg, ws, "train-original", [p for p in PHASES if not PHASES[p].transfer])
 
 
 def step_extend(cfg: RunConfig, ws: Workspace) -> None:
     base_vocab, full_vocab = _vocabs(ws)
-    bundle, _ = load_bundle(os.path.join(ws.root, "checkpoints", "original"),
-                            expect_vocab_hash=tok.vocab_hash(base_vocab))
+    bundle = _load_ckpt(ws, "original", base_vocab)
     weights = extend_embeddings(bundle.weights, len(base_vocab), len(full_vocab),
                                 seed=cfg.seed + 7)
     extended = ModelBundle(config=weights.config, weights=weights,
@@ -486,67 +522,8 @@ def step_extend(cfg: RunConfig, ws: Workspace) -> None:
     ws.append_manifest("extend", cfg.hash(), [ckpt])
 
 
-def _load_ckpt(ws: Workspace, name: str, vocab) -> ModelBundle:
-    bundle, _ = load_bundle(os.path.join(ws.root, "checkpoints", name),
-                            expect_vocab_hash=tok.vocab_hash(vocab))
-    return bundle
-
-
 def step_train_transfer(cfg: RunConfig, ws: Workspace) -> None:
-    _, full_vocab = _vocabs(ws)
-    toggles = cfg.ablation()
-    outputs = []
-
-    bundle = _load_ckpt(ws, "extended", full_vocab)
-    attach_adapters(bundle, seed=cfg.seed + 8)
-    train_toggles = AblationToggles(**{**asdict(toggles), "use_lora": True})
-    # use_lora=False approximates full-parameter training by folding the
-    # adapters into the base weights at every stage boundary
-    merge_every_stage = not toggles.use_lora
-
-    def maybe_merge(stage_name: str, seed: int) -> None:
-        if merge_every_stage or stage_name in cfg.merge_after_stages:
-            approx_full_ft(bundle, seed=seed)
-
-    batch = lambda phase: cfg.stages[phase].get("batch_size", 8)
-    s1 = _packed(cfg, ws, "stage1", "target-cpt", full_vocab, batch("target-cpt"))
-    outputs.append(_run_phase(cfg, ws, bundle, "target-cpt", s1, train_toggles))
-    maybe_merge("target-cpt", cfg.seed + 9)
-
-    s2 = _packed(cfg, ws, "stage2", "translation-cpt", full_vocab,
-                 batch("translation-cpt"))
-    outputs.append(_run_phase(cfg, ws, bundle, "translation-cpt", s2, train_toggles))
-    maybe_merge("translation-cpt", cfg.seed + 10)
-
-    cpt_ckpt = ws.path("checkpoints", "cpt_only")
-    save_bundle(bundle, cpt_ckpt, extra_meta={"stage": "cpt-only"})
-    outputs.append(cpt_ckpt)
-
-    valid3 = _valid_examples(cfg, ws, "valid_stage3", "transform-sft", full_vocab)
-    s3 = _packed(cfg, ws, "stage3", "transform-sft", full_vocab, batch("transform-sft"))
-    outputs.append(_run_phase(cfg, ws, bundle, "transform-sft", s3, train_toggles, valid3))
-    maybe_merge("transform-sft", cfg.seed + 11)
-
-    pre = ws.path("checkpoints", "final_premerge")
-    save_bundle(bundle, pre, extra_meta={"stage": "final-premerge"})
-    outputs.append(pre)
-    if bundle.adapters is not None:
-        merge_adapters(bundle.weights, bundle.adapters)
-        bundle.adapters = None
-    merged = ws.path("checkpoints", "final")
-    save_bundle(bundle, merged, extra_meta={"stage": "final"})
-    outputs.append(merged)
-
-    # no-chain baseline branches off the shared stage-2 checkpoint
-    baseline = _load_ckpt(ws, "cpt_only", full_vocab)
-    sd = _packed(cfg, ws, "ablation_direct", "transform-sft", full_vocab,
-                 batch("direct-sft"))
-    outputs.append(_run_phase(cfg, ws, baseline, "direct-sft", sd,
-                              AblationToggles(use_lora=True)))
-    db = ws.path("checkpoints", "direct_sft")
-    save_bundle(baseline, db, extra_meta={"stage": "direct-sft"})
-    outputs.append(db)
-    ws.append_manifest("train-transfer", cfg.hash(), outputs)
+    train_phases(cfg, ws, "train-transfer", [p for p in PHASES if PHASES[p].transfer])
 
 
 # ---------------------------------------------------------------------------

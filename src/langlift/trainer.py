@@ -17,7 +17,8 @@ import numpy as np
 from . import numcore as nc
 from .datapipe import PackedDataset, TrainExample
 from .model import (ModelBundle, attach_adapters, forward, load_bundle,
-                    merge_adapters, save_bundle, set_trainable)
+                    merge_adapters, read_checkpoint, save_bundle, set_trainable,
+                    write_checkpoint)
 
 STAGES = ("target-cpt", "translation-cpt", "transform-sft")
 
@@ -285,7 +286,6 @@ def save_checkpoint(bundle: ModelBundle, optimizer: AdamW | None, path: str,
     save_bundle(bundle, path, extra_meta=meta)
     if optimizer is not None and optimizer.moments:
         opt_dir = os.path.join(path, "optimizer")
-        from .model import write_checkpoint
         write_checkpoint(opt_dir, optimizer.state_arrays(),
                          {"step_count": optimizer.step_count})
 
@@ -296,7 +296,6 @@ def load_checkpoint(path: str, expect_vocab_hash: str | None = None):
     optimizer = None
     opt_dir = os.path.join(path, "optimizer")
     if os.path.isdir(opt_dir):
-        from .model import read_checkpoint
         arrays, opt_meta = read_checkpoint(opt_dir)
         optimizer = AdamW()
         optimizer.load_state_arrays(arrays, int(opt_meta["step_count"]))

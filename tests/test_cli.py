@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,33 @@ def test_lock_prevents_concurrent_runs(tiny_workdir):
         lock.unlink()
 
 
+def test_lock_refuses_train(tiny_workdir, tmp_path):
+    workdir = tmp_path / "work"
+    shutil.copytree(tiny_workdir, workdir)
+    lock = workdir / "run.lock"
+    lock.write_text("12345")
+    with pytest.raises(SystemExit) as err:
+        run_cli(["train", "--stage", "target-cpt"], str(workdir))
+    assert err.value.code != 0
+    assert lock.read_text() == "12345"
+
+
+def test_train_stage_runs_only_that_phase(tiny_workdir, tmp_path):
+    workdir = tmp_path / "work"
+    shutil.copytree(tiny_workdir, workdir)
+    untouched = [workdir / "metrics" / "target-cpt.jsonl",
+                 workdir / "checkpoints" / "final_premerge" / "weights.bin"]
+    before = [p.read_bytes() for p in untouched]
+    assert run_cli(["train", "--stage", "translation-cpt", "--max-steps", "1"],
+                   str(workdir)) == 0
+    lines = (workdir / "metrics" / "translation-cpt.jsonl").read_text().splitlines()
+    assert len(lines) == 1
+    assert [p.read_bytes() for p in untouched] == before
+    manifest = json.loads((workdir / "manifest.json").read_text())
+    assert manifest[-1]["step"] == "translation-cpt"
+    assert not (workdir / "run.lock").exists()
+
+
 def test_stale_vocab_hash_rejected(tiny_workdir, tmp_path):
     # poison one dataset manifest and try to retrain against it
     manifest_path = Path(tiny_workdir, "data", "stage1.manifest.json")
@@ -132,3 +160,6 @@ def test_config_rejects_unknown_fields():
     bad = json.dumps({"version": 1, "not_a_field": 2})
     with pytest.raises(pl.PipelineError):
         pl.RunConfig.from_json(bad)
+    # a field the config no longer has
+    with pytest.raises(pl.PipelineError):
+        pl.RunConfig.from_json(json.dumps({"version": 1, "merge_after_stages": []}))

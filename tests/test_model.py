@@ -287,6 +287,31 @@ def test_checkpoint_vocab_hash_mismatch(tmp_path, setup):
         md.load_bundle(path, expect_vocab_hash="different")
 
 
+def test_checkpoint_rejects_truncated_blob(tmp_path, setup):
+    config, weights, adapters = setup
+    path = tmp_path / "ckpt"
+    md.save_bundle(md.ModelBundle(config=config, weights=weights, adapters=adapters), str(path))
+    blob = path / md.CHECKPOINT_BLOB
+    blob.write_bytes(blob.read_bytes()[:-4])
+    with pytest.raises(md.ModelError):
+        md.load_bundle(str(path))
+
+
+@pytest.mark.parametrize("damage", ["missing", "reshaped"])
+def test_checkpoint_rejects_bad_tensor(tmp_path, setup, damage):
+    config, weights, adapters = setup
+    path = str(tmp_path / "ckpt")
+    md.save_bundle(md.ModelBundle(config=config, weights=weights, adapters=adapters), path)
+    arrays, meta = md.read_checkpoint(path)
+    if damage == "missing":
+        del arrays["layers.0.lora.wq.up"]
+    else:
+        arrays["head"] = arrays["head"].T
+    md.write_checkpoint(path, arrays, meta)
+    with pytest.raises(md.ModelError):
+        md.load_bundle(path)
+
+
 def test_config_validation():
     with pytest.raises(md.ModelError):
         tiny_config(d_model=10, n_heads=3)
