@@ -1,10 +1,10 @@
 """Command-line entry points over the pipeline steps.
 
 Every subcommand reads the run config (workdir/config.json unless
---config points elsewhere), applies flag overrides, executes one
-pipeline step against the workdir under its lock when the step writes
-there, and appends to the run manifest. run-all executes the whole
-chain and prints the report location.
+--config points elsewhere), executes one pipeline step against the
+workdir under its lock when the step writes there, and appends to the
+run manifest. run-all executes the whole chain and prints the report
+location.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from . import evallab as ev
 from . import pipeline as pl
 from . import tokenizer as tok
 from . import world as wd
-from .inference import (ConversationHistory, ParseError, build_multiturn_input,
-                        greedy_decode, parse_tcot, render_template)
-from .model import ModelError, load_bundle
+from .inference import (ConversationHistory, InferenceError, ParseError,
+                        build_multiturn_input, greedy_decode, parse_tcot,
+                        render_template)
+from .model import ModelError
 
 
 class CliError(SystemExit):
@@ -35,10 +36,8 @@ class CliError(SystemExit):
 
 def _load_config(args) -> pl.RunConfig:
     path = args.config or os.path.join(args.workdir, "config.json")
-    if not os.path.exists(path):
-        if args.config is None:
-            return pl.default_config()
-        raise CliError(f"config file {path} does not exist")
+    if args.config is None and not os.path.exists(path):
+        return pl.default_config()
     with open(path, encoding="utf-8") as f:
         try:
             return pl.RunConfig.from_json(f.read())
@@ -46,48 +45,13 @@ def _load_config(args) -> pl.RunConfig:
             raise CliError(f"bad config {path}: {e}")
 
 
-def _apply_stage_overrides(cfg: pl.RunConfig, args) -> None:
-    if args.cmd != "train" or args.stage not in cfg.stages:
-        return
-    for flag in ("peak_lr", "warmup_ratio", "weight_decay", "batch_size",
-                 "grad_accum", "max_epochs", "valid_every", "seed", "max_steps"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            cfg.stages[args.stage][flag] = value
-
-
-def _vocab(ws: pl.Workspace) -> tok.Vocabulary:
-    path = os.path.join(ws.root, "vocab", "full.txt")
-    if not os.path.exists(path):
-        raise CliError("no merged vocabulary in workdir; run learn-vocab and merge-vocab first")
-    return tok.Vocabulary.load(path)
-
-
-def _bundle(ws: pl.Workspace, name: str, vocab):
-    path = os.path.join(ws.root, "checkpoints", name)
-    if not os.path.isdir(path):
-        raise CliError(f"no checkpoint at {path}; train it first")
-    try:
-        bundle, _ = load_bundle(path, expect_vocab_hash=tok.vocab_hash(vocab))
-    except ModelError as e:
-        raise CliError(str(e))
-    return bundle
-
-
-def cmd_gen_world(cfg, ws, args):
-    pl.step_gen_world(cfg, ws)
-
-
-def cmd_learn_vocab(cfg, ws, args):
-    pl.step_learn_vocab(cfg, ws)
-
-
-def cmd_merge_vocab(cfg, ws, args):
-    pl.step_merge_vocab(cfg, ws)
-
-
-def cmd_build_data(cfg, ws, args):
-    pl.step_build_data(cfg, ws)
+# pipeline steps a command runs unchanged: name -> (step, help)
+STEPS = {
+    "gen-world": (pl.step_gen_world, "generate language specs, corpora, and query sets"),
+    "learn-vocab": (pl.step_learn_vocab, "learn source and target subword vocabularies"),
+    "merge-vocab": (pl.step_merge_vocab, "merge vocabularies and reserve special tokens"),
+    "build-data": (pl.step_build_data, "construct all training-data formats"),
+}
 
 
 def cmd_train(cfg, ws, args):
@@ -98,14 +62,12 @@ def cmd_train(cfg, ws, args):
 
 
 def cmd_infer(cfg, ws, args):
-    vocab = _vocab(ws)
-    bundle = _bundle(ws, args.checkpoint, vocab)
+    _, vocab = pl._vocabs(ws)
+    bundle = pl._load_ckpt(ws, args.checkpoint, vocab)
     lang = cfg.languages[0]
     turns = []
     rows_out = []
-    with open(args.input, encoding="utf-8") as f:
-        rows = [json.loads(line) for line in f if line.strip()]
-    for row in rows:
+    for row in wd.load_jsonl(args.input):
         query = row["query"]
         history = build_multiturn_input(turns, query, vocab,
                                         use_x_history=args.x_history)
@@ -128,31 +90,16 @@ def cmd_infer(cfg, ws, args):
             record["mode"] = "unparseable"
             record["error"] = str(e)
         rows_out.append(record)
-    with open(args.output, "w", encoding="utf-8") as f:
-        for r in rows_out:
-            f.write(json.dumps(r, ensure_ascii=False, sort_keys=True) + "\n")
+    wd.save_jsonl(args.output, rows_out)
     print(f"wrote {len(rows_out)} turns to {args.output}")
 
 
-def _first_world(cfg, ws):
-    lang = cfg.languages[0]
-    spec_path = os.path.join(ws.root, "world", lang, "spec.json")
-    if not os.path.exists(spec_path):
-        raise CliError("no world in workdir; run gen-world first")
-    with open(spec_path, encoding="utf-8") as f:
-        spec = wd.ToyLanguageSpec.from_json(f.read())
-    valid = wd.queries_from_rows(
-        wd.load_jsonl(os.path.join(ws.root, "world", lang, "queries_valid.jsonl")))
-    return lang, spec, valid
-
-
 def cmd_eval_delta(cfg, ws, args):
-    vocab = _vocab(ws)
-    lang, spec, valid = _first_world(cfg, ws)
-    a = ev.exact_match_eval(_bundle(ws, args.checkpoint_a, vocab), valid, spec, vocab,
-                            mode="x", max_new=cfg.eval_max_new)
-    b = ev.exact_match_eval(_bundle(ws, args.checkpoint_b, vocab), valid, spec, vocab,
-                            mode="x", max_new=cfg.eval_max_new)
+    _, vocab = pl._vocabs(ws)
+    world = pl._load_world(cfg, ws, cfg.languages[0])
+    a, b = (ev.exact_match_eval(pl._load_ckpt(ws, name, vocab), world["valid_q"],
+                                world["spec"], vocab, mode="x", max_new=cfg.eval_max_new)
+            for name in (args.checkpoint_a, args.checkpoint_b))
     delta = ev.compute_delta(a.judge_scores, b.judge_scores)
     doc = {"delta": delta.to_dict(), "binomial_p": delta.p_value,
            "accuracy_a": a.accuracy, "accuracy_b": b.accuracy}
@@ -160,36 +107,34 @@ def cmd_eval_delta(cfg, ws, args):
 
 
 def cmd_analyze_forgetting(cfg, ws, args):
-    vocab = _vocab(ws)
-    lang, spec, valid = _first_world(cfg, ws)
-    rkd_valid = dp.load_records(os.path.join(ws.root, "data", f"valid_rkd_{lang}.jsonl"))
-    reports = ev.forgetting_probability({args.checkpoint: _bundle(ws, args.checkpoint, vocab)},
-                                        _bundle(ws, args.reference, vocab), rkd_valid, vocab)
+    _, vocab = pl._vocabs(ws)
+    rkd_valid = dp.load_records(
+        os.path.join(ws.root, "data", f"valid_rkd_{cfg.languages[0]}.jsonl"))
+    reports = ev.forgetting_probability(
+        {args.checkpoint: pl._load_ckpt(ws, args.checkpoint, vocab)},
+        pl._load_ckpt(ws, args.reference, vocab), rkd_valid, vocab)
     print(json.dumps(reports[args.checkpoint].to_dict(), indent=1, sort_keys=True))
 
 
 def cmd_analyze_similarity(cfg, ws, args):
-    vocab = _vocab(ws)
-    lang, spec, valid = _first_world(cfg, ws)
+    _, vocab = pl._vocabs(ws)
+    lang = cfg.languages[0]
     tcot_valid = dp.load_records(os.path.join(ws.root, "data", f"valid_tcot_{lang}.jsonl"))
-    bundle = _bundle(ws, args.checkpoint, vocab)
-    if bundle.adapters is None:
-        raise CliError("checkpoint has no adapters; use the pre-merge checkpoint")
-    report = ev.hidden_similarity(bundle, tcot_valid, vocab, language=lang)
+    report = ev.hidden_similarity(pl._load_ckpt(ws, args.checkpoint, vocab), tcot_valid,
+                                  vocab, language=lang)
     print(json.dumps(report.to_dict(), indent=1, sort_keys=True))
 
 
 def cmd_attention_dump(cfg, ws, args):
-    vocab = _vocab(ws)
-    lang, spec, valid = _first_world(cfg, ws)
-    bundle = _bundle(ws, args.checkpoint, vocab)
-    query_x = args.query or wd.oracle_translate(spec, valid[0].text, "en->x")
+    _, vocab = pl._vocabs(ws)
+    lang = cfg.languages[0]
+    world = pl._load_world(cfg, ws, lang)
+    bundle = pl._load_ckpt(ws, args.checkpoint, vocab)
+    query_x = args.query or wd.oracle_translate(world["spec"], world["valid_q"][0].text,
+                                                "en->x")
     prompt = render_template(ConversationHistory(pending=query_x), vocab)
     out = greedy_decode(bundle, prompt, max_new=cfg.eval_max_new, eos_id=vocab.eos_id)
-    try:
-        dump = ev.attention_dump(bundle, prompt, out, vocab, language=lang)
-    except ParseError as e:
-        raise CliError(f"model output did not parse as a chain: {e}")
+    dump = ev.attention_dump(bundle, prompt, out, vocab, language=lang)
     np.save(args.output, dump.matrix)
     sidecar = args.output + ".json"
     with open(sidecar, "w", encoding="utf-8") as f:
@@ -213,17 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="run config JSON path")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    sub.add_parser("gen-world", help="generate language specs, corpora, and query sets")
-    sub.add_parser("learn-vocab", help="learn source and target subword vocabularies")
-    sub.add_parser("merge-vocab", help="merge vocabularies and reserve special tokens")
-    sub.add_parser("build-data", help="construct all training-data formats")
+    for name, (_, help_text) in STEPS.items():
+        sub.add_parser(name, help=help_text)
 
     p = sub.add_parser("train", help="run one training phase from its start checkpoint")
     p.add_argument("--stage", required=True, choices=["extend", *pl.PHASES])
-    for flag, typ in [("peak-lr", float), ("warmup-ratio", float), ("weight-decay", float),
-                      ("batch-size", int), ("grad-accum", int), ("max-epochs", int),
-                      ("valid-every", int), ("seed", int), ("max-steps", int)]:
-        p.add_argument(f"--{flag}", dest=flag.replace("-", "_"), type=typ, default=None)
 
     p = sub.add_parser("infer", help="chat over JSONL turn records")
     p.add_argument("--checkpoint", default="final")
@@ -255,10 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 COMMANDS = {
-    "gen-world": cmd_gen_world,
-    "learn-vocab": cmd_learn_vocab,
-    "merge-vocab": cmd_merge_vocab,
-    "build-data": cmd_build_data,
     "train": cmd_train,
     "infer": cmd_infer,
     "eval-delta": cmd_eval_delta,
@@ -270,17 +205,26 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = _load_config(args)
-    _apply_stage_overrides(cfg, args)
-    ws = pl.Workspace(args.workdir)
-    # run-all takes the lock inside run_all
-    locked = args.cmd in ("gen-world", "learn-vocab", "merge-vocab", "build-data", "train")
+    args = build_parser().parse_args(argv)
+    # commands that write the workdir hold its lock; run-all takes it
+    # inside run_all
+    locked = args.cmd in STEPS or args.cmd == "train"
     try:
+        cfg = _load_config(args)
+        ws = pl.Workspace(args.workdir)
         with ws.lock() if locked else contextlib.nullcontext():
-            COMMANDS[args.cmd](cfg, ws, args)
-    except (pl.PipelineError, tok.TokenizerError, ModelError) as e:
+            # step-by-step runs keep the config their manifest hashes name,
+            # as run_all does
+            if locked and not os.path.exists(os.path.join(ws.root, "config.json")):
+                ws.write_json("config.json", json.loads(cfg.to_json()))
+            if args.cmd in STEPS:
+                STEPS[args.cmd][0](cfg, ws)
+            else:
+                COMMANDS[args.cmd](cfg, ws, args)
+    except FileNotFoundError as e:
+        raise CliError(f"missing input {e.filename}")
+    except (pl.PipelineError, tok.TokenizerError, ModelError, ev.EvalError,
+            InferenceError) as e:
         raise CliError(str(e))
     return 0
 

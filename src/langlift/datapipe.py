@@ -12,13 +12,12 @@ packed, and their loss masks cover target tokens only.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .inference import (DEFAULT_SYSTEM_PROMPT, ConversationHistory,
-                        nlt_segments, render_template_text)
+from . import world as wd
+from .inference import ConversationHistory, nlt_segments, render_template_text
 from .tokenizer import EN, RESPONSE, Vocabulary, lang_token
 from .world import ParallelPair, Query, TeacherOracle
 
@@ -78,10 +77,8 @@ class SftRecord:
     meta: dict = field(default_factory=dict)
 
 
-def _wrap_query(query_text: str, vocab: Vocabulary,
-                system_prompt: str = DEFAULT_SYSTEM_PROMPT) -> list[int]:
-    text = render_template_text(ConversationHistory(pending=query_text), system_prompt)
-    return vocab.encode(text)
+def _wrap_query(query_text: str, vocab: Vocabulary) -> list[int]:
+    return vocab.encode(render_template_text(ConversationHistory(pending=query_text)))
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +121,8 @@ def build_translation_cpt(pairs: list[ParallelPair], en_docs: list[str],
     return records
 
 
-def build_rkd(queries: list[Query], teacher: TeacherOracle, vocab: Vocabulary,
-              system_prompt: str = DEFAULT_SYSTEM_PROMPT) -> list[RkdRecord]:
+def build_rkd(queries: list[Query], teacher: TeacherOracle,
+              vocab: Vocabulary) -> list[RkdRecord]:
     """One record per query: the template-wrapped query as input, the
     ⟨response⟩-led teacher answer (⟨EOS⟩-terminated) as target."""
     resp = vocab.special_id(RESPONSE)
@@ -139,15 +136,14 @@ def build_rkd(queries: list[Query], teacher: TeacherOracle, vocab: Vocabulary,
         records.append(RkdRecord(
             q_en=q.text,
             a_en=answer,
-            input_ids=_wrap_query(q.text, vocab, system_prompt),
+            input_ids=_wrap_query(q.text, vocab),
             target_ids=[resp] + vocab.encode(answer) + [eos],
         ))
     return records
 
 
 def build_tcot(rkd_records: list[RkdRecord], translator, vocab: Vocabulary,
-               language: str = "X", style: str = "special",
-               system_prompt: str = DEFAULT_SYSTEM_PROMPT) -> list[TcotRecord]:
+               language: str = "X", style: str = "special") -> list[TcotRecord]:
     """Translate each recovery record into the target language and lay
     out the chain target. style "special" uses the reserved tokens;
     style "nlt" spells the chain out in natural language instead."""
@@ -169,15 +165,14 @@ def build_tcot(rkd_records: list[RkdRecord], translator, vocab: Vocabulary,
             raise DataError(f"unknown chain style {style!r}")
         records.append(TcotRecord(
             q_x=q_x, q_en=r.q_en, a_en=r.a_en, a_x=a_x,
-            input_ids=_wrap_query(q_x, vocab, system_prompt),
+            input_ids=_wrap_query(q_x, vocab),
             target_ids=target,
         ))
     return records
 
 
 def build_translation_sft(templates: list[str], pairs: list[ParallelPair],
-                          vocab: Vocabulary, language: str = "X",
-                          system_prompt: str = DEFAULT_SYSTEM_PROMPT) -> list[SftRecord]:
+                          vocab: Vocabulary, language: str = "X") -> list[SftRecord]:
     """Instruction-following translation data: every template × pair ×
     direction. The target opens with the produced language's ID token."""
     if not templates or not pairs:
@@ -195,7 +190,7 @@ def build_translation_sft(templates: list[str], pairs: list[ParallelPair],
                 src, dst = (p.en, p.x) if direction == "en->x" else (p.x, p.en)
                 lang_id = x_id if direction == "en->x" else en_id
                 records.append(SftRecord(
-                    input_ids=_wrap_query(template.format(src=src), vocab, system_prompt),
+                    input_ids=_wrap_query(template.format(src=src), vocab),
                     target_ids=[lang_id] + vocab.encode(dst) + [eos],
                     meta={"direction": direction, "src": src, "dst": dst},
                 ))
@@ -203,8 +198,7 @@ def build_translation_sft(templates: list[str], pairs: list[ParallelPair],
 
 
 def build_direct_sft(queries: list[Query], teacher: TeacherOracle, translator,
-                     vocab: Vocabulary,
-                     system_prompt: str = DEFAULT_SYSTEM_PROMPT) -> list[SftRecord]:
+                     vocab: Vocabulary) -> list[SftRecord]:
     """Direct target-language instruction data (the no-chain ablation):
     translated query in, ⟨response⟩ plus translated answer out."""
     resp = vocab.special_id(RESPONSE)
@@ -213,7 +207,7 @@ def build_direct_sft(queries: list[Query], teacher: TeacherOracle, translator,
     for q in queries:
         a_en = teacher.answer(q.text)
         records.append(SftRecord(
-            input_ids=_wrap_query(translator(q.text), vocab, system_prompt),
+            input_ids=_wrap_query(translator(q.text), vocab),
             target_ids=[resp] + vocab.encode(translator(a_en)) + [eos],
             kind="direct-sft",
             meta={"q_en": q.text, "a_en": a_en},
@@ -267,15 +261,14 @@ def _is_document_record(r) -> bool:
 
 def pack_and_mix(records: list, pad_id: int, seed: int, kind: str,
                  max_len: int = 512, batch_size: int = 8,
-                 truncate: bool = False, eos_id: int | None = None) -> PackedDataset:
+                 eos_id: int | None = None) -> PackedDataset:
     """Deterministically shuffle, then pack or pad into batches.
 
     Document records are concatenated with ⟨EOS⟩ separators (eos_id) and
     cut into max_len windows (every real token is a target). Instruction
     records keep their input+target layout, are padded to the longest
     sequence of their batch, and mask only the target span. An
-    instruction record longer than max_len is an error unless truncation
-    is enabled.
+    instruction record longer than max_len is an error.
     """
     if not records:
         raise DataError("nothing to pack")
@@ -317,14 +310,9 @@ def pack_and_mix(records: list, pad_id: int, seed: int, kind: str,
         for r in shuffled:
             seq = list(r.input_ids) + list(r.target_ids)
             if len(seq) > max_len:
-                if not truncate:
-                    raise LengthError(
-                        f"record of {len(seq)} tokens exceeds max_len {max_len}")
-                seq = seq[:max_len]
+                raise LengthError(f"record of {len(seq)} tokens exceeds max_len {max_len}")
             mask = np.zeros(len(seq), dtype=bool)
-            n_target = max(0, len(seq) - len(r.input_ids))
-            if n_target:
-                mask[len(r.input_ids):] = True
+            mask[len(r.input_ids):] = True
             examples.append(TrainExample(ids=np.asarray(seq, dtype=np.int32), loss_mask=mask))
 
     batches = []
@@ -382,18 +370,11 @@ def record_from_row(row: dict):
 
 
 def save_records(path, records) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for r in records:
-            f.write(json.dumps(record_to_row(r), ensure_ascii=False, sort_keys=True) + "\n")
+    wd.save_jsonl(path, [record_to_row(r) for r in records])
 
 
 def load_records(path) -> list:
-    out = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                out.append(record_from_row(json.loads(line)))
-    return out
+    return [record_from_row(row) for row in wd.load_jsonl(path)]
 
 
 def dataset_manifest(records, seed: int, vocab_hash: str) -> dict:

@@ -50,8 +50,7 @@ class ConversationHistory:
     pending: str = ""
 
 
-def render_template_text(history: ConversationHistory,
-                         system_prompt: str = DEFAULT_SYSTEM_PROMPT) -> str:
+def render_template_text(history: ConversationHistory) -> str:
     """Exact prompt bytes for a conversation state.
 
     <s>[INST] <<SYS>>\\n{system}\\n<</SYS>>\\n\\n{q1} [/INST] {a1} </s>
@@ -59,7 +58,7 @@ def render_template_text(history: ConversationHistory,
     """
     if not history.pending:
         raise InferenceError("pending query must be non-empty")
-    first_prefix = f"<s>[INST] <<SYS>>\n{system_prompt}\n<</SYS>>\n\n"
+    first_prefix = f"<s>[INST] <<SYS>>\n{DEFAULT_SYSTEM_PROMPT}\n<</SYS>>\n\n"
     parts = []
     for i, (q, a) in enumerate(history.turns):
         prefix = first_prefix if i == 0 else "<s>[INST] "
@@ -69,9 +68,8 @@ def render_template_text(history: ConversationHistory,
     return "".join(parts)
 
 
-def render_template(history: ConversationHistory, vocab: Vocabulary,
-                    system_prompt: str = DEFAULT_SYSTEM_PROMPT) -> list[int]:
-    return vocab.encode(render_template_text(history, system_prompt))
+def render_template(history: ConversationHistory, vocab: Vocabulary) -> list[int]:
+    return vocab.encode(render_template_text(history))
 
 
 def greedy_decode(bundle: ModelBundle, prompt_ids: list[int], max_new: int,

@@ -41,7 +41,7 @@ class Tensor:
     data is row-major; grad, when populated, has identical shape.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -52,7 +52,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self._tape: ComputeTape | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -73,8 +72,9 @@ class ComputeTape:
     """Ordered record of primitive applications.
 
     Recording order is topological by construction, so backward simply
-    walks the entries in reverse. Clearing drops entries and any
-    intermediate gradients they hold alive.
+    walks the entries in reverse. Tensors hold no reference back to the
+    tape, so a closed tape and its intermediates are freed as soon as
+    the last name for it goes.
     """
 
     def __init__(self):
@@ -85,14 +85,7 @@ class ComputeTape:
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], grad_fn) -> None:
         out.requires_grad = True
-        out._tape = self
         self._entries.append((out, inputs, grad_fn))
-
-    def clear(self) -> None:
-        for out, _, _ in self._entries:
-            out.grad = None
-            out._tape = None
-        self._entries.clear()
 
 
 _ACTIVE: ComputeTape | None = None
@@ -132,16 +125,18 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 def backward(loss: Tensor) -> None:
     """Populate gradients of everything that produced a scalar loss.
 
-    Walks the recording tape in exact reverse order. Tensors with
-    requires_grad=False never receive a gradient.
+    Walks the active tape in exact reverse order from the entry that
+    recorded the loss. Tensors with requires_grad=False never receive a
+    gradient.
     """
     if loss.data.size != 1:
         raise TapeError(f"backward root must be scalar, got shape {loss.data.shape}")
-    t = loss._tape
-    if t is None:
-        raise TapeError("backward root was not produced through recorded primitives")
+    entries = [] if _ACTIVE is None else _ACTIVE._entries
+    end = next((i for i in range(len(entries) - 1, -1, -1) if entries[i][0] is loss), None)
+    if end is None:
+        raise TapeError("backward root was not recorded on the active tape")
     loss.grad = np.ones_like(loss.data)
-    for out, inputs, grad_fn in reversed(t._entries):
+    for out, inputs, grad_fn in reversed(entries[:end + 1]):
         if out.grad is None:
             continue
         grads = grad_fn(out.grad)

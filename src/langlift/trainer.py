@@ -38,7 +38,6 @@ class StageConfig:
     stage: str
     peak_lr: float = 2e-4
     warmup_ratio: float = 0.01
-    schedule: str = "cosine"
     weight_decay: float = 0.0
     batch_size: int = 8
     grad_accum: int = 1
@@ -55,8 +54,6 @@ class StageConfig:
             raise TrainerError("warmup_ratio must be in [0, 1)")
         if self.valid_every < 1:
             raise TrainerError("valid_every must be at least 1")
-        if self.schedule != "cosine":
-            raise TrainerError("only the cosine schedule is implemented")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -232,15 +229,11 @@ def train_stage(bundle: ModelBundle, dataset: PackedDataset, config: StageConfig
         inv_n = 1.0 / len(records)
         step_loss = 0.0
         for ex in records:
-            # one tape per record; leaf grads accumulate across records.
-            # Clearing it breaks the tensor-tape reference cycles, so the
-            # record's intermediates are freed now, not by the next cyclic
-            # garbage collection
-            with nc.tape() as t:
+            # one tape per record; leaf grads accumulate across records
+            with nc.tape():
                 loss = example_loss(bundle, ex, training=True, rng=rng)
                 step_loss += loss.item()
                 nc.backward(nc.scale(loss, inv_n))
-                t.clear()
         step_loss *= inv_n
         if not math.isfinite(step_loss):
             raise TrainingDiverged(step)

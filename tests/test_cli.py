@@ -123,14 +123,40 @@ def test_train_stage_runs_only_that_phase(tiny_workdir, tmp_path):
     untouched = [workdir / "metrics" / "target-cpt.jsonl",
                  workdir / "checkpoints" / "final_premerge" / "weights.bin"]
     before = [p.read_bytes() for p in untouched]
-    assert run_cli(["train", "--stage", "translation-cpt", "--max-steps", "1"],
-                   str(workdir)) == 0
+    cfg = pl.RunConfig.from_json((workdir / "config.json").read_text())
+    cfg.stages["translation-cpt"]["max_steps"] = 1
+    config = tmp_path / "one_step.json"
+    config.write_text(cfg.to_json())
+    assert cli.main(["--workdir", str(workdir), "--config", str(config),
+                     "train", "--stage", "translation-cpt"]) == 0
     lines = (workdir / "metrics" / "translation-cpt.jsonl").read_text().splitlines()
     assert len(lines) == 1
     assert [p.read_bytes() for p in untouched] == before
     manifest = json.loads((workdir / "manifest.json").read_text())
     assert manifest[-1]["step"] == "translation-cpt"
     assert not (workdir / "run.lock").exists()
+
+
+def test_train_missing_start_checkpoint_is_an_error(tiny_workdir, tmp_path, capsys):
+    workdir = tmp_path / "work"
+    shutil.copytree(tiny_workdir, workdir)
+    shutil.rmtree(workdir / "checkpoints" / "cpt_only")
+    with pytest.raises(SystemExit) as err:
+        run_cli(["train", "--stage", "transform-sft"], str(workdir))
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert message.startswith("error: ")
+    assert str(workdir / "checkpoints" / "cpt_only") in message
+
+
+def test_gen_world_writes_the_config_its_manifest_names(tmp_path):
+    workdir = tmp_path / "fresh"
+    config = tmp_path / "tiny.json"
+    config.write_text(pl.tiny_config(seed=2).to_json())
+    assert cli.main(["--workdir", str(workdir), "--config", str(config), "gen-world"]) == 0
+    written = pl.RunConfig.from_json((workdir / "config.json").read_text())
+    manifest = json.loads((workdir / "manifest.json").read_text())
+    assert manifest[-1]["config_hash"] == written.hash()
 
 
 def test_stale_vocab_hash_rejected(tiny_workdir, tmp_path):

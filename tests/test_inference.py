@@ -27,8 +27,9 @@ def test_template_matches_golden_bytes(n_turns):
 
 def test_template_zero_turns_structure():
     history = inf.ConversationHistory(pending="hello there")
-    text = inf.render_template_text(history, system_prompt="sys prompt")
-    assert text == "<s>[INST] <<SYS>>\nsys prompt\n<</SYS>>\n\nhello there [/INST]"
+    text = inf.render_template_text(history)
+    assert text == (f"<s>[INST] <<SYS>>\n{inf.DEFAULT_SYSTEM_PROMPT}\n<</SYS>>\n\n"
+                    "hello there [/INST]")
 
 
 def test_template_two_turn_block_counts():

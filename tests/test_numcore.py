@@ -1,3 +1,5 @@
+import gc
+import weakref
 import zlib
 
 import numpy as np
@@ -211,7 +213,29 @@ def test_backward_requires_tape():
 def test_no_recording_outside_tape():
     x = nc.Tensor(np.ones((2, 2)), requires_grad=True)
     y = nc.matmul(x, x)
-    assert y._tape is None and not y.requires_grad
+    assert not y.requires_grad
+
+
+def test_closed_tape_freed_without_cycle_collection():
+    x = nc.Tensor(np.ones((2, 2)), requires_grad=True)
+    gc.disable()
+    try:
+        with nc.tape() as t:
+            loss = nc.sum_all(nc.matmul(x, x))
+            nc.backward(loss)
+        ref = weakref.ref(t)
+        del t
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_backward_after_tape_closed_rejected():
+    x = nc.Tensor(np.ones((2, 2)), requires_grad=True)
+    with nc.tape():
+        loss = nc.sum_all(nc.matmul(x, x))
+    with pytest.raises(nc.TapeError):
+        nc.backward(loss)
 
 
 def test_mlp_gradients_match_finite_differences():
