@@ -22,6 +22,7 @@ from . import evallab as ev
 from . import pipeline as pl
 from . import tokenizer as tok
 from . import world as wd
+from .atomic import atomic_open
 from .inference import (ConversationHistory, InferenceError, ParseError,
                         build_multiturn_input, greedy_decode, parse_tcot,
                         render_template)
@@ -135,9 +136,10 @@ def cmd_attention_dump(cfg, ws, args):
     prompt = render_template(ConversationHistory(pending=query_x), vocab)
     out = greedy_decode(bundle, prompt, max_new=cfg.eval_max_new, eos_id=vocab.eos_id)
     dump = ev.attention_dump(bundle, prompt, out, vocab, language=lang)
-    np.save(args.output, dump.matrix)
+    with atomic_open(args.output, "wb") as f:
+        np.save(f, dump.matrix)
     sidecar = args.output + ".json"
-    with open(sidecar, "w", encoding="utf-8") as f:
+    with atomic_open(sidecar) as f:
         json.dump(dump.to_sidecar(), f, indent=1, sort_keys=True)
     print(f"wrote {args.output} and {sidecar}")
 

@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import numcore as nc
+from .atomic import atomic_open
 
 ATTENTION_TARGETS = ("wq", "wk", "wv", "wo")
 MLP_TARGETS = ("w_gate", "w_up", "w_down")
@@ -320,19 +321,50 @@ def _causal_mask(t: int, dtype) -> np.ndarray:
 
 @dataclass
 class ForwardResult:
-    logits: nc.Tensor                      # [T, vocab]
-    hidden: nc.Tensor | None = None        # [T, d] last block output
-    attention: list[np.ndarray] | None = None  # per layer, head-averaged [T, T]
+    # rows are the positions the call ran: all T, or with a cache the new ones
+    logits: nc.Tensor                      # [rows, vocab]
+    hidden: nc.Tensor | None = None        # [rows, d] last block output
+    attention: list[np.ndarray] | None = None  # per layer, head-averaged [rows, T]
+
+
+class KVCache:
+    """Every layer's key and value rows for the tokens a cached forward
+    has run so far, in buffers sized for the longest sequence."""
+
+    def __init__(self, config: ModelConfig, dtype=np.float32):
+        shape = (config.n_layers, config.max_seq_len, config.d_model)
+        self.k = np.zeros(shape, dtype=dtype)
+        self.v = np.zeros(shape, dtype=dtype)
+        self.ids: list[int] = []
+
+    @property
+    def length(self) -> int:
+        return len(self.ids)
+
+    def extend(self, layer: int, k: nc.Tensor, v: nc.Tensor) -> tuple[nc.Tensor, nc.Tensor]:
+        """Store the new rows of one layer; return all of its rows so far."""
+        start, stop = self.length, self.length + k.shape[0]
+        self.k[layer, start:stop] = k.data
+        self.v[layer, start:stop] = v.data
+        return nc.Tensor(self.k[layer, :stop]), nc.Tensor(self.v[layer, :stop])
 
 
 def forward(ids, weights: TransformerWeights, adapters=None,
             want_hidden: bool = False, want_attention: bool = False,
-            training: bool = False, rng=None) -> ForwardResult:
+            training: bool = False, rng=None, cache: KVCache | None = None) -> ForwardResult:
     """Run the decoder over a token sequence.
 
     Position t attends only to positions <= t. With adapters absent,
     disabled, or still zero (outside a tape), the result equals the
     base model's output exactly.
+
+    With a cache, ids must extend the tokens the cache holds. Only the
+    new rows run through the layers, against the cached keys and values
+    plus their own, and every result field covers the new rows only
+    (attention maps are [new, T]). A fresh cache computes every row as
+    the uncached call does, bit for bit; later calls agree with it to
+    float32 rounding (one-row products sum in another order). A cache
+    cannot be used while a tape records.
     """
     config = weights.config
     ids = list(ids)
@@ -344,8 +376,15 @@ def forward(ids, weights: TransformerWeights, adapters=None,
     for i in ids:
         if not 0 <= int(i) < config.vocab_size:
             raise ModelError(f"token id {i} out of vocabulary range")
+    start = 0
+    if cache is not None:
+        if nc.active_tape() is not None:
+            raise ModelError("a key/value cache cannot be used while a tape records")
+        start = cache.length
+        if t <= start or ids[:start] != cache.ids:
+            raise ModelError(f"ids do not extend the {start} tokens the cache holds")
 
-    mask = _causal_mask(t, weights.embed.dtype)
+    mask = _causal_mask(t, weights.embed.dtype)[start:]
     attn_maps: list[np.ndarray] | None = [] if want_attention else None
 
     def adapter_for(layer_idx: int, target: str) -> LoraAdapter | None:
@@ -353,12 +392,15 @@ def forward(ids, weights: TransformerWeights, adapters=None,
             return None
         return adapters[layer_idx].get(target)
 
-    h = nc.add(nc.embedding(weights.embed, ids), nc.embedding(weights.pos, list(range(t))))
+    h = nc.add(nc.embedding(weights.embed, ids[start:]),
+               nc.embedding(weights.pos, list(range(start, t))))
     for li, layer in enumerate(weights.layers):
         x = nc.layer_norm(h, layer.ln1_g, layer.ln1_b)
         q = lora_apply(x, layer.wq, adapter_for(li, "wq"), training, rng)
         k = lora_apply(x, layer.wk, adapter_for(li, "wk"), training, rng)
         v = lora_apply(x, layer.wv, adapter_for(li, "wv"), training, rng)
+        if cache is not None:
+            k, v = cache.extend(li, k, v)
         ctx, probs = nc.attention(q, k, v, config.n_heads, mask)
         if attn_maps is not None:
             attn_maps.append(probs.mean(axis=0))
@@ -370,6 +412,8 @@ def forward(ids, weights: TransformerWeights, adapters=None,
         up = lora_apply(x, layer.w_up, adapter_for(li, "w_up"), training, rng)
         mlp = lora_apply(nc.mul(gate, up), layer.w_down, adapter_for(li, "w_down"), training, rng)
         h = nc.add(h, mlp)
+    if cache is not None:
+        cache.ids = ids
 
     final = nc.layer_norm(h, weights.lnf_g, weights.lnf_b)
     logits = nc.matmul(final, weights.head)
@@ -458,14 +502,10 @@ def write_checkpoint(path: str, named_arrays: dict[str, np.ndarray], meta: dict)
     blob = b"".join(chunks)
     manifest = {"format": "langlift-checkpoint-v1", "meta": meta, "tensors": entries,
                 "nbytes": len(blob), "sha256": hashlib.sha256(blob).hexdigest()}
-    tmp = os.path.join(path, CHECKPOINT_BLOB + ".tmp")
-    with open(tmp, "wb") as f:
+    with atomic_open(os.path.join(path, CHECKPOINT_BLOB), "wb") as f:
         f.write(blob)
-    os.replace(tmp, os.path.join(path, CHECKPOINT_BLOB))
-    tmp = os.path.join(path, CHECKPOINT_MANIFEST + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as f:
+    with atomic_open(os.path.join(path, CHECKPOINT_MANIFEST)) as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
-    os.replace(tmp, os.path.join(path, CHECKPOINT_MANIFEST))
 
 
 def read_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:

@@ -313,35 +313,39 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
               mask: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """Multi-head scaled dot-product attention over rows.
 
-    q, k, v [T, d] hold n_heads column blocks of width d // n_heads;
-    mask [T, T] is added to every head's scores (a large negative above
-    the diagonal makes it causal). Returns the head outputs side by side,
-    [T, d], and the attention probabilities [n_heads, T, T].
+    q [Tq, d] attends against k, v [Tk, d]; each holds n_heads column
+    blocks of width d // n_heads. mask [Tq, Tk] is added to every head's
+    scores (a large negative above the diagonal makes it causal).
+    Returns the head outputs side by side, [Tq, d], and the attention
+    probabilities [n_heads, Tq, Tk].
     """
-    if q.data.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
-        raise ShapeError(f"attention needs equal 2-D q, k, v, got {q.shape}, {k.shape}, {v.shape}")
-    t, d = q.shape
+    if q.data.ndim != 2 or k.data.ndim != 2 or k.shape != v.shape or q.shape[1] != k.shape[1]:
+        raise ShapeError(f"attention needs 2-D q [Tq, d] and k, v [Tk, d], "
+                         f"got {q.shape}, {k.shape}, {v.shape}")
+    (tq, d), tk = q.shape, k.shape[0]
     if d % n_heads:
         raise ShapeError(f"width {d} does not split into {n_heads} heads")
-    if mask.shape != (t, t):
-        raise ShapeError(f"mask shape {mask.shape} does not match {t} positions")
+    if mask.shape != (tq, tk):
+        raise ShapeError(f"mask shape {mask.shape} does not match {tq} queries by {tk} keys")
     dh = d // n_heads
     s = q.dtype.type(1.0 / np.sqrt(dh))
 
     def heads(x):  # [T, d] -> [H, T, dh]
-        return x.reshape(t, n_heads, dh).transpose(1, 0, 2)
+        return x.reshape(x.shape[0], n_heads, dh).transpose(1, 0, 2)
+
+    def rows(x):  # [H, T, dh] -> [T, d]
+        return x.transpose(1, 0, 2).reshape(x.shape[1], d)
 
     qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
     scores = (qh @ kh.transpose(0, 2, 1)) * s + mask
     e = np.exp(scores - scores.max(axis=2, keepdims=True))
     probs = e / e.sum(axis=2, keepdims=True)
-    out = Tensor((probs @ vh).transpose(1, 0, 2).reshape(t, d))
+    out = Tensor(rows(probs @ vh))
 
     def grad_fn(g):
         gh = heads(g)
         gp = gh @ vh.transpose(0, 2, 1)
         gs = probs * (gp - (gp * probs).sum(axis=2, keepdims=True)) * s
-        rows = lambda x: x.transpose(1, 0, 2).reshape(t, d)
         return rows(gs @ kh), rows(gs.transpose(0, 2, 1) @ qh), rows(probs.transpose(0, 2, 1) @ gh)
 
     return _maybe_record(out, (q, k, v), grad_fn), probs

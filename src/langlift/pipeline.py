@@ -28,6 +28,7 @@ from . import datapipe as dp
 from . import evallab as ev
 from . import tokenizer as tok
 from . import world as wd
+from .atomic import atomic_open
 from .inference import (DEFAULT_SYSTEM_PROMPT, TEMPLATE_CHARS,
                         ConversationHistory, build_multiturn_input,
                         greedy_decode, nlt_segments, parse_tcot,
@@ -115,11 +116,17 @@ class RunConfig:
         doc = json.loads(text)
         if doc.get("version") != 1:
             raise PipelineError("unsupported run config version")
-        doc["world"] = WorldSizes(**doc.get("world", {}))
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
-        if unknown:
-            raise PipelineError(f"unknown config fields: {sorted(unknown)}")
+        _check_fields("config fields", doc, cls.__dataclass_fields__)
+        world = doc.get("world", {})
+        _check_fields("world fields", world, WorldSizes.__dataclass_fields__)
+        doc["world"] = WorldSizes(**world)
+        if "stages" in doc:
+            if set(doc["stages"]) != set(PHASES):
+                raise PipelineError(f"stages must set exactly the phases {sorted(PHASES)}, "
+                                    f"got {sorted(doc['stages'])}")
+            for phase, settings in doc["stages"].items():
+                _check_fields(f"fields in stages[{phase!r}]", settings,
+                              StageConfig.__dataclass_fields__)
         return cls(**doc)
 
     def stage_config(self, phase: str, seed_offset: int = 0) -> StageConfig:
@@ -132,6 +139,12 @@ class RunConfig:
 
     def hash(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
+
+
+def _check_fields(what: str, doc: dict, known) -> None:
+    unknown = set(doc) - set(known)
+    if unknown:
+        raise PipelineError(f"unknown {what}: {sorted(unknown)}")
 
 
 def default_config() -> RunConfig:
@@ -183,10 +196,8 @@ class Workspace:
                 entries = json.load(f)
         entries.append({"step": step, "config_hash": config_hash,
                         "outputs": sorted(outputs), "tool_version": TOOL_VERSION})
-        tmp = self.manifest_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as f:
+        with atomic_open(self.manifest_path) as f:
             json.dump(entries, f, indent=1, sort_keys=True)
-        os.replace(tmp, self.manifest_path)
 
     @contextlib.contextmanager
     def lock(self):
@@ -205,10 +216,8 @@ class Workspace:
 
     def write_json(self, relpath: str, doc) -> str:
         p = self.path(relpath)
-        tmp = p + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as f:
+        with atomic_open(p) as f:
             json.dump(doc, f, indent=1, sort_keys=True)
-        os.replace(tmp, p)
         return p
 
     def read_json(self, relpath: str):
@@ -228,7 +237,7 @@ def step_gen_world(cfg: RunConfig, ws: Workspace) -> None:
                                       n_words=cfg.world.n_words, language=lang)
         base = f"world/{lang}"
         p = ws.path(base, "spec.json")
-        with open(p, "w", encoding="utf-8") as f:
+        with atomic_open(p) as f:
             f.write(spec.to_json())
         outputs.append(p)
 
@@ -646,7 +655,8 @@ def step_evaluate(cfg: RunConfig, ws: Workspace) -> dict:
             except ev.ParseError:
                 continue  # output not a well-formed chain; try the next query
             matrix_path = ws.path("report", f"attention_{lang}.npy")
-            np.save(matrix_path, dump.matrix)
+            with atomic_open(matrix_path, "wb") as f:
+                np.save(f, dump.matrix)
             sidecar = ws.write_json(f"report/attention_{lang}.json", dump.to_sidecar())
             outputs += [matrix_path, sidecar]
             attention_summary = dump.x_row_mass
@@ -671,7 +681,7 @@ def step_evaluate(cfg: RunConfig, ws: Workspace) -> dict:
 
     # aligned tables, one row per comparison
     delta_csv = ws.path("report", "delta.csv")
-    with open(delta_csv, "w", newline="", encoding="utf-8") as f:
+    with atomic_open(delta_csv, newline="") as f:
         w = csv.writer(f)
         w.writerow(["language", "comparison", "win", "tie", "loss", "delta", "p_value"])
         for lang, res in report["per_language"].items():
@@ -680,7 +690,7 @@ def step_evaluate(cfg: RunConfig, ws: Workspace) -> dict:
                         f"{d['win']:.2f}", f"{d['tie']:.2f}", f"{d['loss']:.2f}",
                         f"{d['delta']:.2f}", f"{res['binomial']['p_value']:.6f}"])
     safety_csv = ws.path("report", "safety.csv")
-    with open(safety_csv, "w", newline="", encoding="utf-8") as f:
+    with atomic_open(safety_csv, newline="") as f:
         w = csv.writer(f)
         w.writerow(["language", "model", "bypass", "reject", "unclear"])
         for lang, res in report["per_language"].items():

@@ -14,6 +14,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .atomic import atomic_open
+
 EOS = "⟨EOS⟩"
 PAD = "⟨PAD⟩"
 RESPONSE = "⟨response⟩"
@@ -176,7 +178,7 @@ class Vocabulary:
         return cls(tokens, merges, specials)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_open(path) as f:
             f.write(self.dumps())
 
     @classmethod

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_open
+
 _SRC_CONSONANTS = "bdfghklmnprstvz"
 _SRC_VOWELS = "aei"
 # target surfaces are uppercase, from letters that appear in no template,
@@ -312,7 +314,7 @@ def split_queries(queries: list[Query], valid_fraction: float, seed: int):
 
 
 def save_jsonl(path, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         for row in rows:
             f.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
 

@@ -1,8 +1,18 @@
+import os
 import sys
-from dataclasses import dataclass
-from pathlib import Path
 
-import pytest
+# One BLAS thread before anything loads numpy: multi-threaded GEMM sums
+# in another order, and training turns that rounding into different
+# verdicts, so the suite would read differently on machines with more
+# cores. pytest loads this file before it collects any test module.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from dataclasses import dataclass  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import pytest  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).parent))
 

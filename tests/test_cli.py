@@ -189,3 +189,25 @@ def test_config_rejects_unknown_fields():
     # a field the config no longer has
     with pytest.raises(pl.PipelineError):
         pl.RunConfig.from_json(json.dumps({"version": 1, "merge_after_stages": []}))
+
+
+NESTED_TYPOS = {
+    "world": {"version": 1, "world": {"n_wrods": 3}},
+    "stage": {"version": 1, "stages": {
+        phase: {**settings, **({"bogus": 1} if phase == "target-cpt" else {})}
+        for phase, settings in pl.default_config().stages.items()}},
+    "phase": {"version": 1, "stages": {"target-cpt": {"stage": "target-cpt"}}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(NESTED_TYPOS))
+def test_nested_config_typo_is_one_error_line(case, tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(NESTED_TYPOS[case]))
+    workdir = tmp_path / "work"
+    with pytest.raises(SystemExit) as err:
+        cli.main(["--workdir", str(workdir), "--config", str(config), "gen-world"])
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: bad config")
+    assert not (workdir / "config.json").exists()

@@ -123,6 +123,40 @@ def test_greedy_context_overflow():
         inf.greedy_decode(bundle, [0] * 8, max_new=2)
 
 
+def uncached_greedy(bundle, prompt_ids, max_new, eos_id=None):
+    """The argmax loop over full-prefix forwards that cached decoding replaces."""
+    ids, out = list(prompt_ids), []
+    for _ in range(max_new):
+        logits = md.forward(ids, bundle.weights, bundle.adapters).logits.data
+        nxt = int(np.argmax(logits[-1]))
+        out.append(nxt)
+        ids.append(nxt)
+        if nxt == eos_id or len(ids) >= bundle.config.max_seq_len:
+            break
+    return out
+
+
+def test_cached_greedy_matches_uncached_loop():
+    config = md.ModelConfig(vocab_size=29, n_layers=2, d_model=16, n_heads=2, d_ff=32,
+                            max_seq_len=40, lora_rank=2, lora_alpha=4.0, lora_dropout=0.0)
+    rng = np.random.default_rng(21)
+    weights = md.init_weights(config, seed=6)
+    adapters = md.init_adapters(config, seed=7)
+    assert all(set(per_layer) == set(md.ALL_TARGETS) for per_layer in adapters)
+    for per_layer in adapters:
+        for a in per_layer.values():
+            a.up.data = rng.normal(0.0, 0.3, size=a.up.shape).astype(np.float32)
+    bundle = md.ModelBundle(config=config, weights=weights, adapters=adapters)
+    outputs = set()
+    for i in range(24):
+        prompt = rng.integers(0, config.vocab_size, size=int(rng.integers(1, 30))).tolist()
+        eos_id = 3 if i % 2 else None
+        out = inf.greedy_decode(bundle, prompt, max_new=16, eos_id=eos_id)
+        assert out == uncached_greedy(bundle, prompt, 16, eos_id)
+        outputs.add(tuple(out))
+    assert len(outputs) > 12  # the prompts steer the model, not one fixed output
+
+
 # ---------------------------------------------------------------------------
 # structured parsing
 # ---------------------------------------------------------------------------

@@ -75,6 +75,81 @@ def test_causality(setup):
 
 
 # ---------------------------------------------------------------------------
+# key/value cache
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def adapted():
+    """A model with non-zero adapters on all seven targets."""
+    config = tiny_config(max_seq_len=24)
+    assert set(config.lora_targets) == set(md.ALL_TARGETS)
+    weights = md.init_weights(config, seed=1)
+    adapters = md.init_adapters(config, seed=2)
+    _randomize_adapters(adapters, np.random.default_rng(12), scale=0.3)
+    return config, weights, adapters
+
+
+def cached_rows(ids, chunks, weights, adapters):
+    """Logits and hidden rows of ids, fed through one cache in chunks."""
+    cache = md.KVCache(weights.config)
+    logits, hidden, stop = [], [], 0
+    for n in chunks:
+        stop += n
+        out = md.forward(ids[:stop], weights, adapters, want_hidden=True, cache=cache)
+        assert out.logits.shape[0] == n and cache.length == stop
+        logits.append(out.logits.data)
+        hidden.append(out.hidden.data)
+    return np.concatenate(logits), np.concatenate(hidden)
+
+
+def test_cache_first_call_bit_identical(adapted):
+    config, weights, adapters = adapted
+    rng = np.random.default_rng(13)
+    for t in (1, 2, 7, config.max_seq_len):
+        ids = rand_ids(config, rng, t=t)
+        full = md.forward(ids, weights, adapters, want_hidden=True)
+        first = md.forward(ids, weights, adapters, want_hidden=True,
+                           cache=md.KVCache(config))
+        assert np.array_equal(first.logits.data, full.logits.data)
+        assert np.array_equal(first.hidden.data, full.hidden.data)
+
+
+@pytest.mark.parametrize("chunks", [
+    [1] * 24,                # one token at a time from the first
+    [9] + [1] * 15,          # a prompt, then one token at a time
+    [3, 1, 5, 2, 6, 4, 3],   # uneven chunks
+])
+def test_cache_matches_uncached_forward(adapted, chunks):
+    config, weights, adapters = adapted
+    rng = np.random.default_rng(14)
+    for _ in range(5):
+        ids = rand_ids(config, rng, t=sum(chunks))
+        full = md.forward(ids, weights, adapters, want_hidden=True)
+        logits, hidden = cached_rows(ids, chunks, weights, adapters)
+        assert np.abs(logits - full.logits.data).max() < 1e-5
+        assert np.abs(hidden - full.hidden.data).max() < 1e-5
+
+
+def test_cache_under_tape_rejected(adapted):
+    config, weights, adapters = adapted
+    with nc.tape():
+        with pytest.raises(md.ModelError):
+            md.forward([1, 2, 3], weights, adapters, cache=md.KVCache(config))
+
+
+def test_cache_rejects_ids_that_do_not_extend_it(adapted):
+    config, weights, adapters = adapted
+    cache = md.KVCache(config)
+    md.forward([1, 2, 3], weights, adapters, cache=cache)
+    for ids in ([1, 2, 3], [1, 2], [1, 5, 3, 4]):
+        with pytest.raises(md.ModelError):
+            md.forward(ids, weights, adapters, cache=cache)
+    assert cache.length == 3
+    md.forward([1, 2, 3, 4], weights, adapters, cache=cache)
+    assert cache.length == 4
+
+
+# ---------------------------------------------------------------------------
 # lora_apply
 # ---------------------------------------------------------------------------
 

@@ -86,6 +86,32 @@ def test_attention_matches_per_head_composition():
     assert np.all(np.triu(got, k=1) == 0.0)
 
 
+def test_attention_rectangular_rows_match_square():
+    rng = np.random.default_rng(7)
+    t, d, n_heads = 6, 8, 2
+    q, k, v = (t64(rng.normal(size=(t, d))) for _ in range(3))
+    mask = np.triu(np.full((t, t), -1e9), k=1)
+    square, square_probs = nc.attention(q, k, v, n_heads, mask)
+    for start in range(t):
+        out, probs = nc.attention(t64(q.data[start:]), k, v, n_heads, mask[start:])
+        assert out.shape == (t - start, d) and probs.shape == (n_heads, t - start, t)
+        assert np.abs(out.data - square.data[start:]).max() < 1e-12
+        assert np.abs(probs - square_probs[:, start:]).max() < 1e-12
+
+
+def test_attention_rejects_mismatched_shapes():
+    rng = np.random.default_rng(8)
+    q = t64(rng.normal(size=(2, 4)))
+    k, v = (t64(rng.normal(size=(5, 4))) for _ in range(2))
+    for mask in (np.zeros((5, 5)), np.zeros((2, 4)), np.zeros((5, 2))):
+        with pytest.raises(nc.ShapeError):
+            nc.attention(q, k, v, 2, mask)
+    with pytest.raises(nc.ShapeError):
+        nc.attention(q, k, t64(rng.normal(size=(4, 4))), 2, np.zeros((2, 5)))
+    with pytest.raises(nc.ShapeError):
+        nc.attention(q, t64(rng.normal(size=(5, 6))), v, 2, np.zeros((2, 5)))
+
+
 def test_frozen_inputs_get_no_gradient_from_fused_primitives():
     rng = np.random.default_rng(6)
     x = t64(rng.normal(size=(4, 6)), requires_grad=True)
@@ -370,6 +396,17 @@ def _fd_attention(rng):
     q, k, v = (t64(rng.normal(size=(4, 6))) for _ in range(3))
     mask = np.triu(np.full((4, 4), -1e9), k=1)
     c = rng.normal(size=(4, 6))
+    return (lambda: _weighted(nc.attention(q, k, v, 2, mask)[0], c),
+            {"q": q, "k": k, "v": v})
+
+
+@prim("attention_rectangular")
+def _fd_attention_rectangular(rng):
+    # the last two rows of a five-token sequence, against all five keys
+    q = t64(rng.normal(size=(2, 6)))
+    k, v = (t64(rng.normal(size=(5, 6))) for _ in range(2))
+    mask = np.triu(np.full((5, 5), -1e9), k=1)[3:]
+    c = rng.normal(size=(2, 6))
     return (lambda: _weighted(nc.attention(q, k, v, 2, mask)[0], c),
             {"q": q, "k": k, "v": v})
 

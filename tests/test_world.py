@@ -146,3 +146,15 @@ def test_jsonl_round_trip(tmp_path, spec):
     path = tmp_path / "q.jsonl"
     wd.save_jsonl(path, wd.query_rows(qs))
     assert wd.queries_from_rows(wd.load_jsonl(path)) == qs
+
+
+def test_failed_jsonl_write_leaves_previous_file(tmp_path, spec):
+    path = tmp_path / "q.jsonl"
+    wd.save_jsonl(path, wd.query_rows(wd.gen_query_set(spec, 5, 0.2, seed=1)))
+    before = path.read_bytes()
+    rows = wd.query_rows(wd.gen_query_set(spec, 5, 0.2, seed=2))
+    rows.insert(3, {"not json": object()})  # fails after three rows are written
+    with pytest.raises(TypeError):
+        wd.save_jsonl(path, rows)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["q.jsonl"]
