@@ -70,8 +70,7 @@ def cmd_infer(cfg, ws, args):
     rows_out = []
     for row in wd.load_jsonl(args.input):
         query = row["query"]
-        history = build_multiturn_input(turns, query, vocab,
-                                        use_x_history=args.x_history)
+        history = build_multiturn_input(turns, query, vocab)
         prompt = render_template(history, vocab)
         out = greedy_decode(bundle, prompt, max_new=args.max_new, eos_id=vocab.eos_id)
         record = {"query": query}
@@ -172,8 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--max-new", type=int, default=64)
     p.add_argument("--raw", action="store_true", help="also dump full token streams")
-    p.add_argument("--x-history", action="store_true",
-                   help="carry target-language history instead of source-language")
 
     p = sub.add_parser("eval-delta", help="pairwise win/tie/loss of two checkpoints")
     p.add_argument("--checkpoint-a", default="final")

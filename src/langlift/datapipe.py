@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import world as wd
-from .inference import ConversationHistory, nlt_segments, render_template_text
+from .inference import ConversationHistory, render_template_text
 from .tokenizer import EN, RESPONSE, Vocabulary, lang_token
 from .world import ParallelPair, Query, TeacherOracle
 
@@ -143,10 +143,9 @@ def build_rkd(queries: list[Query], teacher: TeacherOracle,
 
 
 def build_tcot(rkd_records: list[RkdRecord], translator, vocab: Vocabulary,
-               language: str = "X", style: str = "special") -> list[TcotRecord]:
+               language: str = "X") -> list[TcotRecord]:
     """Translate each recovery record into the target language and lay
-    out the chain target. style "special" uses the reserved tokens;
-    style "nlt" spells the chain out in natural language instead."""
+    out the chain target between the reserved tokens."""
     en_id = vocab.special_id(EN)
     resp = vocab.special_id(RESPONSE)
     x_id = vocab.special_id(lang_token(language))
@@ -155,14 +154,8 @@ def build_tcot(rkd_records: list[RkdRecord], translator, vocab: Vocabulary,
     for r in rkd_records:
         q_x = translator(r.q_en)
         a_x = translator(r.a_en)
-        if style == "special":
-            target = ([en_id] + vocab.encode(r.q_en) + [resp] + vocab.encode(r.a_en)
-                      + [x_id] + vocab.encode(a_x) + [eos])
-        elif style == "nlt":
-            seg1, seg2, seg3 = nlt_segments(language)
-            target = vocab.encode(seg1 + r.q_en + seg2 + r.a_en + seg3 + a_x) + [eos]
-        else:
-            raise DataError(f"unknown chain style {style!r}")
+        target = ([en_id] + vocab.encode(r.q_en) + [resp] + vocab.encode(r.a_en)
+                  + [x_id] + vocab.encode(a_x) + [eos])
         records.append(TcotRecord(
             q_x=q_x, q_en=r.q_en, a_en=r.a_en, a_x=a_x,
             input_ids=_wrap_query(q_x, vocab),

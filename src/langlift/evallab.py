@@ -243,8 +243,7 @@ def hidden_similarity(bundle: ModelBundle, tcot_valid: list[TcotRecord],
     adapters disabled the network computes as the pre-transfer model
     does, over the token embeddings as trained in transfer. Both passes
     read every token through the same rows, and the cosine isolates what
-    the adapters change. This holds unless adapters were folded into the
-    base mid-transfer (the use_lora=False ablation)."""
+    the adapters change."""
     if bundle.adapters is None:
         raise EvalError("hidden similarity needs a model with adapters attached")
     resp = vocab.special_id(RESPONSE)

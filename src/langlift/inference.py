@@ -160,41 +160,16 @@ def parse_tcot(output_ids: list[int], vocab: Vocabulary,
 
 
 def build_multiturn_input(prior_turns: list[tuple[str, TcotParse]], new_query_x: str,
-                          vocab: Vocabulary,
-                          use_x_history: bool = False) -> ConversationHistory:
+                          vocab: Vocabulary) -> ConversationHistory:
     """Assemble the conversation for the next target-language turn.
 
     Only the source-language portions of past outputs become history
     (q_en from the model's own translation step, a_en from its answer
-    step); reserved tokens are stripped by construction. With
-    use_x_history the target-language sides are used instead.
+    step); reserved tokens are stripped by construction.
     """
     turns = []
-    for q_x, parse in prior_turns:
+    for _, parse in prior_turns:
         if parse.mode != "tcot" or parse.q_en is None:
             raise InferenceError("prior turn did not parse as a translation chain")
-        if use_x_history:
-            turns.append((q_x, vocab.decode(parse.a_x)))
-        else:
-            turns.append((vocab.decode(parse.q_en), vocab.decode(parse.a_en)))
+        turns.append((vocab.decode(parse.q_en), vocab.decode(parse.a_en)))
     return ConversationHistory(turns=turns, pending=new_query_x)
-
-
-# natural-language variant of the chain template, used by the template
-# ablation instead of reserved tokens
-def nlt_segments(language_name: str) -> tuple[str, str, str]:
-    return (
-        "Let me interpret the instruction in English: ",
-        " Then the English response is: ",
-        f" Finally, the {language_name} response is: ",
-    )
-
-
-def parse_nlt(output_text: str, language_name: str) -> dict[str, str]:
-    seg1, seg2, seg3 = nlt_segments(language_name)
-    if not output_text.startswith(seg1) or seg2 not in output_text or seg3 not in output_text:
-        raise ParseError("output does not follow the natural-language chain template")
-    rest = output_text[len(seg1):]
-    q_en, rest = rest.split(seg2, 1)
-    a_en, a_x = rest.split(seg3, 1)
-    return {"q_en": q_en, "a_en": a_en, "a_x": a_x}

@@ -234,14 +234,11 @@ def lora_apply(h: nc.Tensor, w: nc.Tensor, adapter: LoraAdapter | None,
                training: bool = False, rng=None) -> nc.Tensor:
     """x @ W plus the adapter branch when enabled.
 
-    Outside a recording tape a still-zero adapter is skipped entirely,
-    so the output is bit-identical to the base projection. Under a tape
-    the branch is always computed (the zero up matrix needs gradients to
-    start learning). Dropout hits only the adapter branch, only in
-    training mode.
+    A still-zero adapter adds exactly 0.0, so the output is bit-identical
+    to the base projection. Dropout hits only the adapter branch, only
+    in training mode.
     """
-    if (adapter is None or not adapter.enabled
-            or (nc.active_tape() is None and not np.any(adapter.up.data))):
+    if adapter is None or not adapter.enabled:
         return nc.matmul(h, w)
     keep = None
     if training and adapter.dropout > 0.0:
@@ -355,8 +352,8 @@ def forward(ids, weights: TransformerWeights, adapters=None,
     """Run the decoder over a token sequence.
 
     Position t attends only to positions <= t. With adapters absent,
-    disabled, or still zero (outside a tape), the result equals the
-    base model's output exactly.
+    disabled, or still zero, the result equals the base model's output
+    exactly.
 
     With a cache, ids must extend the tokens the cache holds. Only the
     new rows run through the layers, against the cached keys and values

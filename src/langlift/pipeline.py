@@ -31,13 +31,12 @@ from . import world as wd
 from .atomic import atomic_open
 from .inference import (DEFAULT_SYSTEM_PROMPT, TEMPLATE_CHARS,
                         ConversationHistory, build_multiturn_input,
-                        greedy_decode, nlt_segments, parse_tcot,
-                        render_template, render_template_text)
+                        greedy_decode, parse_tcot, render_template,
+                        render_template_text)
 from .model import (ModelBundle, ModelConfig, SequenceLengthError,
                     attach_adapters, extend_embeddings, init_weights,
                     load_bundle, merge_adapters, save_bundle)
-from .trainer import (AblationToggles, StageConfig, approx_full_ft,
-                      train_stage)
+from .trainer import AblationToggles, StageConfig, train_stage
 
 TOOL_VERSION = "langlift-0.1.0"
 
@@ -102,7 +101,6 @@ class RunConfig:
                        "weight_decay": 0.0, "batch_size": 8, "max_epochs": 10,
                        "valid_every": 400, "cosine_horizon_epochs": 10},
     })
-    toggles: dict = field(default_factory=lambda: asdict(AblationToggles()))
     cpt_window: int = 48
     sft_max_len: int = 160
     eval_max_new: int = 64
@@ -133,9 +131,6 @@ class RunConfig:
         args = dict(self.stages[phase])
         args.setdefault("seed", self.seed + seed_offset)
         return StageConfig(**args)
-
-    def ablation(self) -> AblationToggles:
-        return AblationToggles(**self.toggles)
 
     def hash(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
@@ -289,7 +284,11 @@ def _load_world(cfg: RunConfig, ws: Workspace, lang: str):
 def _format_lines() -> list[str]:
     lines = [
         f"<s>[INST] <<SYS>>\n{DEFAULT_SYSTEM_PROMPT}\n<</SYS>>\n\n",
-        " [/INST] ", " </s><s>[INST] ", "".join(nlt_segments("X")),
+        " [/INST] ", " </s><s>[INST] ",
+        # part of the shipped BPE corpus; dropping it changes the merges
+        "Let me interpret the instruction in English: "
+        " Then the English response is: "
+        " Finally, the X response is: ",
     ]
     lines += TRANSLATION_PROMPTS
     return lines * 25
@@ -350,7 +349,6 @@ def _vocabs(ws: Workspace):
 
 def step_build_data(cfg: RunConfig, ws: Workspace) -> None:
     base_vocab, full_vocab = _vocabs(ws)
-    toggles = cfg.ablation()
     outputs = []
 
     def dump(name: str, records, vocab) -> None:
@@ -360,11 +358,8 @@ def step_build_data(cfg: RunConfig, ws: Workspace) -> None:
                       dp.dataset_manifest(records, cfg.seed, tok.vocab_hash(vocab)))
         outputs.append(p)
 
+    # source-language chat model data (base vocabulary)
     first = _load_world(cfg, ws, cfg.languages[0])
-    teacher_cls = wd.ExternalTeacher if toggles.teacher == "external" else wd.TeacherOracle
-
-    # source-language chat model data (base vocabulary; original teacher
-    # always, because this model IS the original)
     original_teacher = wd.TeacherOracle(first["spec"])
     dump("original_lm", dp.build_cpt(first["en_mono"], base_vocab), base_vocab)
     dump("original_chat", dp.build_rkd(first["chat_q"], original_teacher, base_vocab),
@@ -376,29 +371,21 @@ def step_build_data(cfg: RunConfig, ws: Workspace) -> None:
     for lang in cfg.languages:
         data = _load_world(cfg, ws, lang)
         spec = data["spec"]
-        teacher = teacher_cls(spec)
+        teacher = wd.TeacherOracle(spec)
         translate = lambda s, sp=spec: wd.oracle_translate(sp, s, "en->x")
 
         stage1 += dp.build_cpt(data["x_mono"], full_vocab)
         stage2 += dp.build_translation_cpt(data["pairs"], data["replay"], full_vocab,
                                            seed=cfg.seed, language=lang)
         rkd = dp.build_rkd(data["transfer_q"], teacher, full_vocab)
-        style = "nlt" if toggles.template == "natural-language" else "special"
-        tcot = dp.build_tcot(rkd, translate, full_vocab, language=lang, style=style)
+        tcot = dp.build_tcot(rkd, translate, full_vocab, language=lang)
         trans_sft = dp.build_translation_sft(TRANSLATION_PROMPTS, data["pairs"],
                                              full_vocab, language=lang)
-        if toggles.use_tcot:
-            chain_part = tcot
-        else:
-            chain_part = dp.build_direct_sft(data["transfer_q"], teacher, translate,
-                                             full_vocab)
-        rkd_part = rkd if toggles.use_rkd else []
-        stage3 += dp.mix_finetune(chain_part, rkd_part, trans_sft, seed=cfg.seed,
+        stage3 += dp.mix_finetune(tcot, rkd, trans_sft, seed=cfg.seed,
                                   translation_fraction=cfg.translation_fraction)
-        direct += dp.build_direct_sft(data["transfer_q"], wd.TeacherOracle(spec),
-                                      translate, full_vocab)
+        direct += dp.build_direct_sft(data["transfer_q"], teacher, translate, full_vocab)
 
-        rkd_valid = dp.build_rkd(data["valid_q"], wd.TeacherOracle(spec), full_vocab)
+        rkd_valid = dp.build_rkd(data["valid_q"], teacher, full_vocab)
         tcot_valid = dp.build_tcot(rkd_valid, translate, full_vocab, language=lang)
         dump(f"valid_rkd_{lang}", rkd_valid, full_vocab)
         dump(f"valid_tcot_{lang}", tcot_valid, full_vocab)
@@ -441,7 +428,6 @@ class Phase:
     saves: str                    # checkpoint it saves
     valid: str | None = None      # validation set for best-checkpoint selection
     transfer: bool = True         # adapters over the full vocabulary, else full-parameter
-    fold_seed: int | None = None  # seed offset of the adapter fold under use_lora: false
     merged: str | None = None     # checkpoint saved with the adapters folded in
 
 
@@ -451,10 +437,10 @@ PHASES = {
     "original-lm": Phase("original_lm", None, "original_lm", transfer=False),
     "original-chat": Phase("original_chat", "original_lm", "original", valid="valid_chat",
                            transfer=False),
-    "target-cpt": Phase("stage1", "extended", "target_cpt", fold_seed=9),
-    "translation-cpt": Phase("stage2", "target_cpt", "cpt_only", fold_seed=10),
+    "target-cpt": Phase("stage1", "extended", "target_cpt"),
+    "translation-cpt": Phase("stage2", "target_cpt", "cpt_only"),
     "transform-sft": Phase("stage3", "cpt_only", "final_premerge", valid="valid_stage3",
-                           fold_seed=11, merged="final"),
+                           merged="final"),
     # the no-chain baseline branches off the shared stage-2 checkpoint
     "direct-sft": Phase("ablation_direct", "cpt_only", "direct_sft"),
 }
@@ -465,9 +451,7 @@ def _train_phase(cfg: RunConfig, ws: Workspace, phase: str) -> list[str]:
     with; returns the paths written.
 
     A transfer phase starting from a checkpoint without adapters attaches
-    fresh ones. Under use_lora: false the chain stages fold the adapters
-    into the base weights at their end, approximating full-parameter
-    training."""
+    fresh ones."""
     spec = PHASES[phase]
     base_vocab, full_vocab = _vocabs(ws)
     vocab = full_vocab if spec.transfer else base_vocab
@@ -494,8 +478,6 @@ def _train_phase(cfg: RunConfig, ws: Workspace, phase: str) -> list[str]:
         train_stage(bundle, dataset, cfg.stage_config(phase),
                     toggles=AblationToggles(use_lora=spec.transfer),
                     valid_examples=valid, select_best=valid is not None, log=log)
-    if spec.fold_seed is not None and not cfg.ablation().use_lora:
-        approx_full_ft(bundle, seed=cfg.seed + spec.fold_seed)
 
     outputs = [metrics, ws.path("checkpoints", spec.saves)]
     save_bundle(bundle, outputs[-1], extra_meta={"stage": phase})
@@ -613,17 +595,15 @@ def step_evaluate(cfg: RunConfig, ws: Workspace) -> dict:
             except ev.EvalError:
                 chi2 = None
 
-        rkd_valid = [r for r in dp.load_records(
-            os.path.join(ws.root, "data", f"valid_rkd_{lang}.jsonl"))]
-        tcot_valid = [r for r in dp.load_records(
-            os.path.join(ws.root, "data", f"valid_tcot_{lang}.jsonl"))]
+        rkd_valid = dp.load_records(os.path.join(ws.root, "data", f"valid_rkd_{lang}.jsonl"))
+        tcot_valid = dp.load_records(os.path.join(ws.root, "data", f"valid_tcot_{lang}.jsonl"))
 
         forgetting = {name: r.to_dict() for name, r in ev.forgetting_probability(
             {"cpt_only": cpt_only, "final": final, "direct_sft": direct},
             reference, rkd_valid, full_vocab).items()}
 
-        similarity = (ev.hidden_similarity(final, tcot_valid, full_vocab, language=lang)
-                      .to_dict() if final.adapters is not None else None)
+        similarity = ev.hidden_similarity(final, tcot_valid, full_vocab,
+                                          language=lang).to_dict()
 
         # strict vs lenient judge agreement on the pairwise comparison
         # (lenient credits answers with the right words in any order)

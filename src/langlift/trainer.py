@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -62,19 +62,6 @@ class StageConfig:
 @dataclass
 class AblationToggles:
     use_lora: bool = True
-    use_rkd: bool = True
-    use_tcot: bool = True
-    teacher: str = "original"          # "original" | "external"
-    template: str = "special-tokens"   # "special-tokens" | "natural-language"
-
-    def __post_init__(self):
-        if self.teacher not in ("original", "external"):
-            raise TrainerError(f"unknown teacher {self.teacher!r}")
-        if self.template not in ("special-tokens", "natural-language"):
-            raise TrainerError(f"unknown template style {self.template!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def lr_at(step: int, total_steps: int, config: StageConfig) -> float:

@@ -221,18 +221,6 @@ class TeacherOracle:
         raise UnsupportedTaskError(f"no task pattern matches query {query!r}")
 
 
-class ExternalTeacher(TeacherOracle):
-    """A competent but differently-voiced answerer: correct content with
-    a fixed preamble word. Distilling from it injects a distribution the
-    pre-transfer model never had."""
-
-    def answer(self, query: str) -> str:
-        base = super().answer(query)
-        if base == self.spec.refusal:
-            return base
-        return f"{self.spec.content_words[0]} {base}"
-
-
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------

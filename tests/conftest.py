@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from langlift import tokenizer as tok
 from langlift import world as wd
-from langlift.inference import DEFAULT_SYSTEM_PROMPT, TEMPLATE_CHARS, nlt_segments
+from langlift.inference import DEFAULT_SYSTEM_PROMPT, TEMPLATE_CHARS
 
 
 @dataclass
@@ -46,7 +46,10 @@ def build_toy_world(seed=11, n_words=60, en_vocab_size=220, x_vocab_size=150,
     format_lines = [
         f"<s>[INST] <<SYS>>\n{DEFAULT_SYSTEM_PROMPT}\n<</SYS>>\n\n",
         " [/INST] ", " </s><s>[INST] ",
-        "".join(nlt_segments("X")),
+        # part of the shipped BPE corpus (pipeline._format_lines)
+        "Let me interpret the instruction in English: "
+        " Then the English response is: "
+        " Finally, the X response is: ",
     ] * 20
     v_en = tok.learn_vocab(en_mono + format_lines, en_vocab_size, alphabet=TEMPLATE_CHARS)
     base_vocab = tok.merge_vocab(v_en, tok.Vocabulary([], []), [tok.EOS, tok.PAD, tok.RESPONSE])

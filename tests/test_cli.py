@@ -189,6 +189,9 @@ def test_config_rejects_unknown_fields():
     # a field the config no longer has
     with pytest.raises(pl.PipelineError):
         pl.RunConfig.from_json(json.dumps({"version": 1, "merge_after_stages": []}))
+    # the ablation toggles of older configs
+    with pytest.raises(pl.PipelineError):
+        pl.RunConfig.from_json(json.dumps({"version": 1, "toggles": {"use_lora": True}}))
 
 
 NESTED_TYPOS = {

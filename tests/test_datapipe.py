@@ -146,14 +146,6 @@ def test_tcot_cipher_round_trip(toy, tcot):
         assert wd.oracle_translate(toy.spec, r.a_x, "x->en") == r.a_en
 
 
-def test_tcot_nlt_style(toy, rkd):
-    records = dp.build_tcot(rkd[:3], toy.translate, toy.vocab, style="nlt")
-    for r in records:
-        text = toy.vocab.decode(r.target_ids[:-1])
-        parsed = inf.parse_nlt(text, "X")
-        assert parsed["a_x"] == r.a_x
-
-
 # ---------------------------------------------------------------------------
 # translation instructions
 # ---------------------------------------------------------------------------

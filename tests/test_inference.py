@@ -237,22 +237,7 @@ def test_multiturn_zero_turns(toy):
     assert history.turns == [] and history.pending == "first q"
 
 
-def test_multiturn_x_history_toggle(toy):
-    parse = make_parse(toy, "say me", "me", "zum")
-    history = inf.build_multiturn_input([("sep zum", parse)], "new q", toy.vocab,
-                                        use_x_history=True)
-    assert history.turns == [("sep zum", "zum")]
-
-
 def test_multiturn_rejects_unparsed(toy):
     bad = inf.TcotParse(mode="en-direct", a_en=[1])
     with pytest.raises(inf.InferenceError):
         inf.build_multiturn_input([("q", bad)], "new", toy.vocab)
-
-
-def test_nlt_round_trip():
-    text = ("Let me interpret the instruction in English: say hi"
-            " Then the English response is: hi"
-            " Finally, the X response is: zum")
-    parsed = inf.parse_nlt(text, "X")
-    assert parsed == {"q_en": "say hi", "a_en": "hi", "a_x": "zum"}

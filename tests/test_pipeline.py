@@ -56,55 +56,6 @@ def test_multilingual_data_build(tmp_path):
     assert langs_seen == {"X", "K2"}
 
 
-def test_nlt_template_toggle(tmp_path):
-    cfg = pl.tiny_config(seed=4)
-    cfg.toggles["template"] = "natural-language"
-    ws = run_steps_until_data(cfg, str(tmp_path))
-    _, full = pl._vocabs(ws)
-    stage3 = dp.load_records(str(Path(tmp_path, "data", "stage3.jsonl")))
-    chains = [r for r in stage3 if r.kind == "tcot"]
-    assert chains
-    en_id = full.special_id(tok.EN)
-    for r in chains:
-        assert en_id not in r.target_ids
-        assert full.decode(r.target_ids[:-1]).startswith("Let me interpret")
-
-
-def test_direct_sft_toggle_replaces_chain(tmp_path):
-    cfg = pl.tiny_config(seed=5)
-    cfg.toggles["use_tcot"] = False
-    cfg.toggles["use_rkd"] = False
-    ws = run_steps_until_data(cfg, str(tmp_path))
-    stage3 = dp.load_records(str(Path(tmp_path, "data", "stage3.jsonl")))
-    kinds = {r.kind for r in stage3}
-    assert "tcot" not in kinds and "rkd" not in kinds
-    assert "direct-sft" in kinds
-
-
-def test_external_teacher_toggle(tmp_path):
-    cfg = pl.tiny_config(seed=6)
-    cfg.toggles["teacher"] = "external"
-    ws = run_steps_until_data(cfg, str(tmp_path))
-    stage3 = dp.load_records(str(Path(tmp_path, "data", "stage3.jsonl")))
-    data = pl._load_world(cfg, ws, "X")
-    spec = data["spec"]
-    preamble = spec.content_words[0]
-    voiced = [r for r in stage3 if r.kind == "rkd" and r.a_en != spec.refusal]
-    assert voiced and all(r.a_en.startswith(preamble + " ") for r in voiced)
-
-
-def test_no_lora_toggle_merges_every_stage(tmp_path):
-    cfg = pl.tiny_config(seed=7)
-    cfg.toggles["use_lora"] = False
-    pl.run_all(cfg, str(tmp_path))
-    from langlift.model import load_bundle
-    import numpy as np
-    bundle, _ = load_bundle(str(Path(tmp_path, "checkpoints", "final_premerge")))
-    # after the last stage-boundary merge the attached adapters are fresh zeros
-    assert all(not np.any(a.up.data)
-               for per_layer in bundle.adapters for a in per_layer.values())
-
-
 def test_manifest_reproducibility_fields(tmp_path):
     cfg = pl.tiny_config(seed=8)
     pl.run_all(cfg, str(tmp_path))
