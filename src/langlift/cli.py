@@ -21,6 +21,7 @@ from . import datapipe as dp
 from . import evallab as ev
 from . import pipeline as pl
 from . import tokenizer as tok
+from . import trainer as tr
 from . import world as wd
 from .atomic import atomic_open
 from .inference import (ConversationHistory, InferenceError, ParseError,
@@ -52,6 +53,7 @@ STEPS = {
     "learn-vocab": (pl.step_learn_vocab, "learn source and target subword vocabularies"),
     "merge-vocab": (pl.step_merge_vocab, "merge vocabularies and reserve special tokens"),
     "build-data": (pl.step_build_data, "construct all training-data formats"),
+    "evaluate": (pl.step_evaluate, "score the trained checkpoints and write report/"),
 }
 
 
@@ -223,7 +225,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         raise CliError(f"missing input {e.filename}")
     except (pl.PipelineError, tok.TokenizerError, ModelError, ev.EvalError,
-            InferenceError) as e:
+            InferenceError, dp.DataError, tr.TrainerError, wd.WorldError) as e:
         raise CliError(str(e))
     return 0
 

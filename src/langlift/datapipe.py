@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import world as wd
-from .inference import ConversationHistory, render_template_text
+from .inference import ConversationHistory, render_template
 from .tokenizer import EN, RESPONSE, Vocabulary, lang_token
 from .world import ParallelPair, Query, TeacherOracle
 
@@ -77,10 +77,6 @@ class SftRecord:
     meta: dict = field(default_factory=dict)
 
 
-def _wrap_query(query_text: str, vocab: Vocabulary) -> list[int]:
-    return vocab.encode(render_template_text(ConversationHistory(pending=query_text)))
-
-
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
@@ -136,7 +132,7 @@ def build_rkd(queries: list[Query], teacher: TeacherOracle,
         records.append(RkdRecord(
             q_en=q.text,
             a_en=answer,
-            input_ids=_wrap_query(q.text, vocab),
+            input_ids=render_template(ConversationHistory(pending=q.text), vocab),
             target_ids=[resp] + vocab.encode(answer) + [eos],
         ))
     return records
@@ -158,7 +154,7 @@ def build_tcot(rkd_records: list[RkdRecord], translator, vocab: Vocabulary,
                   + [x_id] + vocab.encode(a_x) + [eos])
         records.append(TcotRecord(
             q_x=q_x, q_en=r.q_en, a_en=r.a_en, a_x=a_x,
-            input_ids=_wrap_query(q_x, vocab),
+            input_ids=render_template(ConversationHistory(pending=q_x), vocab),
             target_ids=target,
         ))
     return records
@@ -183,7 +179,8 @@ def build_translation_sft(templates: list[str], pairs: list[ParallelPair],
                 src, dst = (p.en, p.x) if direction == "en->x" else (p.x, p.en)
                 lang_id = x_id if direction == "en->x" else en_id
                 records.append(SftRecord(
-                    input_ids=_wrap_query(template.format(src=src), vocab),
+                    input_ids=render_template(
+                        ConversationHistory(pending=template.format(src=src)), vocab),
                     target_ids=[lang_id] + vocab.encode(dst) + [eos],
                     meta={"direction": direction, "src": src, "dst": dst},
                 ))
@@ -200,7 +197,7 @@ def build_direct_sft(queries: list[Query], teacher: TeacherOracle, translator,
     for q in queries:
         a_en = teacher.answer(q.text)
         records.append(SftRecord(
-            input_ids=_wrap_query(translator(q.text), vocab),
+            input_ids=render_template(ConversationHistory(pending=translator(q.text)), vocab),
             target_ids=[resp] + vocab.encode(translator(a_en)) + [eos],
             kind="direct-sft",
             meta={"q_en": q.text, "a_en": a_en},

@@ -19,7 +19,7 @@ from . import world as wd
 from .datapipe import RkdRecord, TcotRecord
 from .inference import (ConversationHistory, ParseError, greedy_decode,
                         parse_tcot, render_template)
-from .model import ModelBundle, forward, set_adapters_enabled
+from .model import ModelBundle, forward
 from .tokenizer import EN, RESPONSE, Vocabulary, lang_token
 
 
@@ -218,32 +218,19 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
     return num / den
 
 
-def _final_block_states(bundle: ModelBundle, ids: list[int], adapters_on: bool) -> np.ndarray:
-    """Final-block hidden states with every adapter switched on or off;
-    the adapters' own enabled flags come back afterwards, also when the
-    forward pass raises."""
-    flags = [(a, a.enabled) for per_layer in bundle.adapters for a in per_layer.values()]
-    set_adapters_enabled(bundle.adapters, adapters_on)
-    try:
-        return forward(ids, bundle.weights, bundle.adapters, want_hidden=True).hidden.data
-    finally:
-        for a, enabled in flags:
-            a.enabled = enabled
-
-
 def hidden_similarity(bundle: ModelBundle, tcot_valid: list[TcotRecord],
                       vocab: Vocabulary, language: str = "X") -> SimilarityReport:
-    """Per-token cosine between the final-block hidden states with the
-    adapters disabled and enabled, teacher-forced on reference chain
-    sequences, averaged separately over the source-answer and
-    target-answer segments.
+    """Per-token cosine between the final-block hidden states of the
+    model run without its adapters and with them, teacher-forced on
+    reference chain sequences, averaged separately over the
+    source-answer and target-answer segments.
 
     Adapter training leaves the projections, norms and positional table
-    at their pre-transfer values (model.set_trainable), so with the
-    adapters disabled the network computes as the pre-transfer model
-    does, over the token embeddings as trained in transfer. Both passes
-    read every token through the same rows, and the cosine isolates what
-    the adapters change."""
+    at their pre-transfer values (model.set_trainable), so run without
+    its adapters the network computes as the pre-transfer model does,
+    over the token embeddings as trained in transfer. Both passes read
+    every token through the same rows, and the cosine isolates what the
+    adapters change."""
     if bundle.adapters is None:
         raise EvalError("hidden similarity needs a model with adapters attached")
     resp = vocab.special_id(RESPONSE)
@@ -261,8 +248,8 @@ def hidden_similarity(bundle: ModelBundle, tcot_valid: list[TcotRecord],
             skipped += 1
             continue
         end = ids.index(eos, x_at + 1) if eos in ids[x_at + 1:] else len(ids)
-        base = _final_block_states(bundle, ids, adapters_on=False)
-        adapted = _final_block_states(bundle, ids, adapters_on=True)
+        base = forward(ids, bundle.weights, None, want_hidden=True).hidden.data
+        adapted = forward(ids, bundle.weights, bundle.adapters, want_hidden=True).hidden.data
         for t in range(resp_at + 1, x_at):
             en_vals.append(_cosine(base[t], adapted[t]))
         for t in range(x_at + 1, end):

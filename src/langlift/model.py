@@ -13,16 +13,14 @@ import copy
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import numcore as nc
 from .atomic import atomic_open
 
-ATTENTION_TARGETS = ("wq", "wk", "wv", "wo")
-MLP_TARGETS = ("w_gate", "w_up", "w_down")
-ALL_TARGETS = ATTENTION_TARGETS + MLP_TARGETS
+ALL_TARGETS = ("wq", "wk", "wv", "wo", "w_gate", "w_up", "w_down")
 
 _NEG_MASK = -1e9  # finite additive mask; underflows to exact 0 after softmax
 
@@ -63,17 +61,6 @@ class ModelConfig:
         unknown = set(self.lora_targets) - set(ALL_TARGETS)
         if unknown:
             raise ModelError(f"unknown adapter targets: {sorted(unknown)}")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["lora_targets"] = list(self.lora_targets)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["lora_targets"] = tuple(d.get("lora_targets", ALL_TARGETS))
-        return cls(**d)
 
 
 @dataclass
@@ -123,13 +110,19 @@ def _t(rng, shape, std, dtype):
     return nc.Tensor(rng.normal(0.0, std, size=shape).astype(dtype))
 
 
+def _layer_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of every tensor of one block, in LayerWeights order."""
+    d, ff = config.d_model, config.d_ff
+    return {"ln1_g": (d,), "ln1_b": (d,), "wq": (d, d), "wk": (d, d), "wv": (d, d),
+            "wo": (d, d), "ln2_g": (d,), "ln2_b": (d,), "w_gate": (d, ff),
+            "w_up": (d, ff), "w_down": (ff, d)}
+
+
 def _build_weights(config: ModelConfig, make) -> TransformerWeights:
     """The weights of `config`, each tensor from make(name, shape), made
     in the order init_weights draws them."""
-    d, ff, v = config.d_model, config.d_ff, config.vocab_size
-    shapes = {"ln1_g": (d,), "ln1_b": (d,), "wq": (d, d), "wk": (d, d), "wv": (d, d),
-              "wo": (d, d), "ln2_g": (d,), "ln2_b": (d,), "w_gate": (d, ff),
-              "w_up": (d, ff), "w_down": (ff, d)}
+    d, v = config.d_model, config.vocab_size
+    shapes = _layer_shapes(config)
     layers = [LayerWeights(**{f: make(f"layers.{i}.{f}", shape) for f, shape in shapes.items()})
               for i in range(config.n_layers)]
     return TransformerWeights(
@@ -167,40 +160,30 @@ class LoraAdapter:
 
     up is zero at construction so the update starts at exactly zero;
     scale is alpha / rank, so doubling alpha and rank together changes
-    nothing.
+    nothing. A model runs without its adapters when forward is passed
+    none.
     """
 
     down: nc.Tensor           # [d_in, rank], random init
     up: nc.Tensor             # [rank, d_out], zero init
     scale: float
-    dropout: float = 0.0
-    enabled: bool = True
     merged: bool = field(default=False, compare=False)
 
 
-def _target_dims(config: ModelConfig, target: str) -> tuple[int, int]:
-    d, ff = config.d_model, config.d_ff
-    if target in ATTENTION_TARGETS:
-        return d, d
-    if target in ("w_gate", "w_up"):
-        return d, ff
-    return ff, d
-
-
-def _build_adapters(config: ModelConfig, make, scale: float) -> list[dict[str, LoraAdapter]]:
+def _build_adapters(config: ModelConfig, make) -> list[dict[str, LoraAdapter]]:
     """One adapter per configured target per layer, each matrix from
-    make(name, shape)."""
+    make(name, shape), scaled by lora_alpha / lora_rank."""
+    shapes = _layer_shapes(config)
     adapters = []
     for i in range(config.n_layers):
         per_layer = {}
         for target in config.lora_targets:
-            d_in, d_out = _target_dims(config, target)
+            d_in, d_out = shapes[target]
             prefix = f"layers.{i}.lora.{target}"
             per_layer[target] = LoraAdapter(
                 down=make(f"{prefix}.down", (d_in, config.lora_rank)),
                 up=make(f"{prefix}.up", (config.lora_rank, d_out)),
-                scale=scale,
-                dropout=config.lora_dropout,
+                scale=config.lora_alpha / config.lora_rank,
             )
         adapters.append(per_layer)
     return adapters
@@ -214,7 +197,7 @@ def init_adapters(config: ModelConfig, seed: int, dtype=np.float32) -> list[dict
             return nc.Tensor(np.zeros(shape, dtype=dtype))
         return _t(rng, shape, 0.02, dtype)
 
-    return _build_adapters(config, make, config.lora_alpha / config.lora_rank)
+    return _build_adapters(config, make)
 
 
 def adapters_named(adapters):
@@ -224,27 +207,22 @@ def adapters_named(adapters):
             yield f"layers.{i}.lora.{target}.up", per_layer[target].up
 
 
-def set_adapters_enabled(adapters, enabled: bool) -> None:
-    for per_layer in adapters:
-        for a in per_layer.values():
-            a.enabled = enabled
-
-
 def lora_apply(h: nc.Tensor, w: nc.Tensor, adapter: LoraAdapter | None,
-               training: bool = False, rng=None) -> nc.Tensor:
-    """x @ W plus the adapter branch when enabled.
+               dropout: float = 0.0, rng=None) -> nc.Tensor:
+    """x @ W, plus the adapter branch when an adapter is passed.
 
-    A still-zero adapter adds exactly 0.0, so the output is bit-identical
-    to the base projection. Dropout hits only the adapter branch, only
-    in training mode.
+    Without an adapter the projection runs as the base model's. A
+    still-zero adapter adds exactly 0.0, so the output is bit-identical
+    to the base projection. Dropout at rate `dropout` hits only the
+    adapter branch; forward passes a non-zero rate in training mode only.
     """
-    if adapter is None or not adapter.enabled:
+    if adapter is None:
         return nc.matmul(h, w)
     keep = None
-    if training and adapter.dropout > 0.0:
+    if dropout > 0.0:
         if rng is None:
             raise ModelError("training-mode dropout needs a generator")
-        keep = nc.dropout_keep(h.shape, adapter.dropout, rng, h.dtype)
+        keep = nc.dropout_keep(h.shape, dropout, rng, h.dtype)
     return nc.low_rank_matmul(h, w, adapter.down, adapter.up, adapter.scale, keep)
 
 
@@ -284,7 +262,7 @@ def extend_embeddings(weights: TransformerWeights, old_vocab_size: int,
     if new_vocab_size < old_vocab_size:
         raise ModelError("vocabulary cannot shrink")
     out = copy.deepcopy(weights)
-    out.config = ModelConfig.from_dict({**weights.config.to_dict(), "vocab_size": new_vocab_size})
+    out.config = replace(weights.config, vocab_size=new_vocab_size)
     if new_vocab_size == old_vocab_size:
         return out
     rng = np.random.default_rng([seed, 203])
@@ -351,9 +329,10 @@ def forward(ids, weights: TransformerWeights, adapters=None,
             training: bool = False, rng=None, cache: KVCache | None = None) -> ForwardResult:
     """Run the decoder over a token sequence.
 
-    Position t attends only to positions <= t. With adapters absent,
-    disabled, or still zero, the result equals the base model's output
-    exactly.
+    Position t attends only to positions <= t. Run without adapters
+    (adapters=None) or with still-zero ones, the result equals the base
+    model's output exactly. In training mode the adapter branches drop
+    out at config.lora_dropout, drawn from rng.
 
     With a cache, ids must extend the tokens the cache holds. Only the
     new rows run through the layers, against the cached keys and values
@@ -383,32 +362,30 @@ def forward(ids, weights: TransformerWeights, adapters=None,
 
     mask = _causal_mask(t, weights.embed.dtype)[start:]
     attn_maps: list[np.ndarray] | None = [] if want_attention else None
+    dropout = config.lora_dropout if training else 0.0
 
-    def adapter_for(layer_idx: int, target: str) -> LoraAdapter | None:
-        if adapters is None:
-            return None
-        return adapters[layer_idx].get(target)
+    def proj(rows: nc.Tensor, w: nc.Tensor, layer_idx: int, target: str) -> nc.Tensor:
+        adapter = None if adapters is None else adapters[layer_idx].get(target)
+        return lora_apply(rows, w, adapter, dropout, rng)
 
     h = nc.add(nc.embedding(weights.embed, ids[start:]),
                nc.embedding(weights.pos, list(range(start, t))))
     for li, layer in enumerate(weights.layers):
         x = nc.layer_norm(h, layer.ln1_g, layer.ln1_b)
-        q = lora_apply(x, layer.wq, adapter_for(li, "wq"), training, rng)
-        k = lora_apply(x, layer.wk, adapter_for(li, "wk"), training, rng)
-        v = lora_apply(x, layer.wv, adapter_for(li, "wv"), training, rng)
+        q = proj(x, layer.wq, li, "wq")
+        k = proj(x, layer.wk, li, "wk")
+        v = proj(x, layer.wv, li, "wv")
         if cache is not None:
             k, v = cache.extend(li, k, v)
         ctx, probs = nc.attention(q, k, v, config.n_heads, mask)
         if attn_maps is not None:
             attn_maps.append(probs.mean(axis=0))
-        attn_out = lora_apply(ctx, layer.wo, adapter_for(li, "wo"), training, rng)
-        h = nc.add(h, attn_out)
+        h = nc.add(h, proj(ctx, layer.wo, li, "wo"))
 
         x = nc.layer_norm(h, layer.ln2_g, layer.ln2_b)
-        gate = nc.silu(lora_apply(x, layer.w_gate, adapter_for(li, "w_gate"), training, rng))
-        up = lora_apply(x, layer.w_up, adapter_for(li, "w_up"), training, rng)
-        mlp = lora_apply(nc.mul(gate, up), layer.w_down, adapter_for(li, "w_down"), training, rng)
-        h = nc.add(h, mlp)
+        gate = nc.silu(proj(x, layer.w_gate, li, "w_gate"))
+        up = proj(x, layer.w_up, li, "w_up")
+        h = nc.add(h, proj(nc.mul(gate, up), layer.w_down, li, "w_down"))
     if cache is not None:
         cache.ids = ids
 
@@ -452,7 +429,7 @@ def attach_adapters(bundle: ModelBundle, seed: int) -> ModelBundle:
 def set_trainable(bundle: ModelBundle, mode: str) -> None:
     """"full": everything trains. "lora": the adapters, the token
     embeddings and the head train; the projections, norms and positional
-    table stay frozen, so with its adapters disabled the network computes
+    table stay frozen, so run without its adapters the network computes
     as before adapter training, over the embeddings as trained."""
     if mode not in ("lora", "full"):
         raise ModelError(f"unknown trainable mode {mode!r}")
@@ -525,13 +502,7 @@ def read_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
 
 def save_bundle(bundle: ModelBundle, path: str, extra_meta: dict | None = None) -> None:
     arrays = {name: t.data for name, t in bundle.named_parameters()}
-    meta = {
-        "config": bundle.config.to_dict(),
-        "vocab_hash": bundle.vocab_hash,
-        "has_adapters": bundle.adapters is not None,
-        "adapter_scale": (None if bundle.adapters is None or not bundle.adapters
-                          else bundle.adapters[0][sorted(bundle.adapters[0])[0]].scale),
-    }
+    meta = {"config": asdict(bundle.config), "vocab_hash": bundle.vocab_hash}
     if extra_meta:
         meta.update(extra_meta)
     write_checkpoint(path, arrays, meta)
@@ -544,7 +515,7 @@ def load_bundle(path: str, expect_vocab_hash: str | None = None) -> tuple[ModelB
             f"checkpoint vocabulary hash {meta.get('vocab_hash')!r} does not match "
             f"expected {expect_vocab_hash!r}"
         )
-    config = ModelConfig.from_dict(meta["config"])
+    config = ModelConfig(**meta["config"])
 
     def stored(name, shape):
         if name not in arrays:
@@ -556,6 +527,6 @@ def load_bundle(path: str, expect_vocab_hash: str | None = None) -> tuple[ModelB
 
     bundle = ModelBundle(config=config, weights=_build_weights(config, stored),
                          vocab_hash=meta.get("vocab_hash", ""))
-    if meta.get("has_adapters"):
-        bundle.adapters = _build_adapters(config, stored, meta["adapter_scale"])
+    if any(".lora." in name for name in arrays):
+        bundle.adapters = _build_adapters(config, stored)
     return bundle, meta

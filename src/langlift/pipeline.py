@@ -33,10 +33,10 @@ from .inference import (DEFAULT_SYSTEM_PROMPT, TEMPLATE_CHARS,
                         ConversationHistory, build_multiturn_input,
                         greedy_decode, parse_tcot, render_template,
                         render_template_text)
-from .model import (ModelBundle, ModelConfig, SequenceLengthError,
+from .model import (ModelBundle, ModelConfig, ModelError, SequenceLengthError,
                     attach_adapters, extend_embeddings, init_weights,
                     load_bundle, merge_adapters, save_bundle)
-from .trainer import AblationToggles, StageConfig, train_stage
+from .trainer import AblationToggles, StageConfig, TrainerError, train_stage
 
 TOOL_VERSION = "langlift-0.1.0"
 
@@ -118,18 +118,24 @@ class RunConfig:
         world = doc.get("world", {})
         _check_fields("world fields", world, WorldSizes.__dataclass_fields__)
         doc["world"] = WorldSizes(**world)
-        if "stages" in doc:
-            if set(doc["stages"]) != set(PHASES):
-                raise PipelineError(f"stages must set exactly the phases {sorted(PHASES)}, "
-                                    f"got {sorted(doc['stages'])}")
-            for phase, settings in doc["stages"].items():
-                _check_fields(f"fields in stages[{phase!r}]", settings,
-                              StageConfig.__dataclass_fields__)
+        # the vocabulary size comes from the learned vocabulary
+        try:
+            ModelConfig(vocab_size=1, **doc.get("model", {}))
+        except (TypeError, ModelError) as e:
+            raise PipelineError(f"model: {e}") from e
+        if "stages" in doc and set(doc["stages"]) != set(PHASES):
+            raise PipelineError(f"stages must set exactly the phases {sorted(PHASES)}, "
+                                f"got {sorted(doc['stages'])}")
+        for phase, settings in doc.get("stages", {}).items():
+            try:
+                StageConfig(**settings)
+            except (TypeError, TrainerError) as e:
+                raise PipelineError(f"stages[{phase!r}]: {e}") from e
         return cls(**doc)
 
-    def stage_config(self, phase: str, seed_offset: int = 0) -> StageConfig:
+    def stage_config(self, phase: str) -> StageConfig:
         args = dict(self.stages[phase])
-        args.setdefault("seed", self.seed + seed_offset)
+        args.setdefault("seed", self.seed)
         return StageConfig(**args)
 
     def hash(self) -> str:

@@ -68,10 +68,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    @property
-    def size(self) -> int:
-        return len(self.id_to_token)
-
     def special_id(self, surface: str) -> int:
         try:
             return self.specials[surface]

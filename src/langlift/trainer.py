@@ -259,8 +259,7 @@ def approx_full_ft(bundle: ModelBundle, seed: int) -> ModelBundle:
 
 def save_checkpoint(bundle: ModelBundle, optimizer: AdamW | None, path: str,
                     step: int = 0, stage: str = "", extra: dict | None = None) -> None:
-    meta = {"step": step, "stage": stage,
-            "optimizer_step_count": optimizer.step_count if optimizer else 0}
+    meta = {"step": step, "stage": stage}
     if extra:
         meta.update(extra)
     save_bundle(bundle, path, extra_meta=meta)

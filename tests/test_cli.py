@@ -137,6 +137,35 @@ def test_train_stage_runs_only_that_phase(tiny_workdir, tmp_path):
     assert not (workdir / "run.lock").exists()
 
 
+def test_train_with_too_small_sft_max_len_is_one_error_line(tiny_workdir, tmp_path, capsys):
+    workdir = tmp_path / "work"
+    shutil.copytree(tiny_workdir, workdir)
+    cfg = pl.RunConfig.from_json((workdir / "config.json").read_text())
+    cfg.sft_max_len = 20
+    config = tmp_path / "short.json"
+    config.write_text(cfg.to_json())
+    with pytest.raises(SystemExit) as err:
+        cli.main(["--workdir", str(workdir), "--config", str(config),
+                  "train", "--stage", "direct-sft"])
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_evaluate_rewrites_the_run_all_report(tiny_workdir, tmp_path):
+    workdir = tmp_path / "work"
+    shutil.copytree(tiny_workdir, workdir)
+    report = workdir / "report" / "report.json"
+    before = report.read_bytes()
+    steps = len(json.loads((workdir / "manifest.json").read_text()))
+    report.unlink()
+    assert run_cli(["evaluate"], str(workdir)) == 0
+    assert report.read_bytes() == before
+    manifest = json.loads((workdir / "manifest.json").read_text())
+    assert len(manifest) == steps + 1 and manifest[-1]["step"] == "evaluate"
+    assert not (workdir / "run.lock").exists()
+
+
 def test_train_missing_start_checkpoint_is_an_error(tiny_workdir, tmp_path, capsys):
     workdir = tmp_path / "work"
     shutil.copytree(tiny_workdir, workdir)
@@ -200,6 +229,10 @@ NESTED_TYPOS = {
         phase: {**settings, **({"bogus": 1} if phase == "target-cpt" else {})}
         for phase, settings in pl.default_config().stages.items()}},
     "phase": {"version": 1, "stages": {"target-cpt": {"stage": "target-cpt"}}},
+    "model": {"version": 1, "model": {**pl.default_config().model, "n_layrs": 2}},
+    "kind": {"version": 1, "stages": {
+        phase: {**settings, **({"stage": "bogus"} if phase == "direct-sft" else {})}
+        for phase, settings in pl.default_config().stages.items()}},
 }
 
 

@@ -312,22 +312,6 @@ def test_similarity_departs_with_trained_adapters(toy, tcot_valid):
     assert -1.0 <= report.x_segment <= 1.0
 
 
-def test_similarity_restores_adapter_flags_when_forward_fails(toy, tcot_valid, monkeypatch):
-    bundle = small_bundle(len(toy.vocab), with_adapters=True)
-    bundle.adapters[0]["wq"].enabled = False
-
-    def broken(*args, **kwargs):
-        raise md.ModelError("forward failed")
-
-    monkeypatch.setattr(ev, "forward", broken)
-    with pytest.raises(md.ModelError):
-        ev.hidden_similarity(bundle, tcot_valid, toy.vocab)
-    flags = {(i, t): a.enabled for i, per_layer in enumerate(bundle.adapters)
-             for t, a in per_layer.items()}
-    assert flags.pop((0, "wq")) is False
-    assert all(flags.values())
-
-
 def test_cosine_orthogonal():
     assert ev._cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -192,12 +194,22 @@ def test_lora_disabled_returns_base():
     rng = np.random.default_rng(5)
     w = nc.Tensor(rng.normal(size=(4, 4)).astype(np.float32))
     h = nc.Tensor(rng.normal(size=(2, 4)).astype(np.float32))
-    adapter = md.LoraAdapter(
-        down=nc.Tensor(rng.normal(size=(4, 2)).astype(np.float32)),
-        up=nc.Tensor(rng.normal(size=(2, 4)).astype(np.float32)),
-        scale=1.0, enabled=False,
-    )
-    assert np.array_equal(md.lora_apply(h, w, adapter).data, nc.matmul(h, w).data)
+    assert np.array_equal(md.lora_apply(h, w, None).data, nc.matmul(h, w).data)
+
+
+def test_training_dropout_follows_the_config(adapted):
+    config, weights, adapters = adapted
+    ids = rand_ids(config, np.random.default_rng(15), t=10)
+    eval_logits = md.forward(ids, weights, adapters).logits.data
+
+    def train_logits(dropout, seed):
+        w = replace(weights, config=replace(config, lora_dropout=dropout))
+        rng = np.random.default_rng(seed)
+        return md.forward(ids, w, adapters, training=True, rng=rng).logits.data
+
+    assert np.array_equal(train_logits(0.0, 1), eval_logits)
+    assert not np.array_equal(train_logits(0.5, 1), eval_logits)
+    assert np.array_equal(train_logits(0.5, 1), train_logits(0.5, 1))
 
 
 def test_lora_shape_error():
@@ -351,6 +363,30 @@ def test_checkpoint_round_trip(tmp_path, setup):
     for (n1, t1), (n2, t2) in zip(bundle.named_parameters(), loaded.named_parameters()):
         assert n1 == n2
         assert np.array_equal(t1.data, t2.data), n1
+
+
+def test_checkpoint_with_legacy_adapter_keys_loads(tmp_path, setup):
+    # manifests once also stored has_adapters and adapter_scale
+    config, weights, adapters = setup
+    _randomize_adapters(adapters, np.random.default_rng(16))
+    for bundle in (md.ModelBundle(config=config, weights=weights, adapters=adapters),
+                   md.ModelBundle(config=config, weights=weights)):
+        path = str(tmp_path / ("with" if bundle.adapters else "without"))
+        md.save_bundle(bundle, path)
+        arrays, meta = md.read_checkpoint(path)
+        assert "has_adapters" not in meta and "adapter_scale" not in meta
+        meta["has_adapters"] = bundle.adapters is not None
+        meta["adapter_scale"] = (config.lora_alpha / config.lora_rank
+                                 if bundle.adapters else None)
+        md.write_checkpoint(path, arrays, meta)
+        loaded, _ = md.load_bundle(path)
+        assert (loaded.adapters is None) == (bundle.adapters is None)
+        for (n1, t1), (n2, t2) in zip(bundle.named_parameters(),
+                                      loaded.named_parameters(), strict=True):
+            assert n1 == n2 and np.array_equal(t1.data, t2.data), n1
+        for per_layer in loaded.adapters or []:
+            assert all(a.scale == config.lora_alpha / config.lora_rank
+                       for a in per_layer.values())
 
 
 def test_checkpoint_vocab_hash_mismatch(tmp_path, setup):
