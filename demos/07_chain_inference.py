@@ -41,18 +41,22 @@ bundle = md.ModelBundle(config=config, weights=md.init_weights(config, seed=0))
 
 prompt = inf.render_template(inf.ConversationHistory(pending=toy.translate(q_en)), vocab)
 real_forward = inf.forward
+calls = []
 
 
 def scripted_forward(ids, weights, adapters=None, **kw):
+    # the n-th call emits script[n]: decoding passes the prompt, then one token a call
     logits = np.zeros((len(ids), len(vocab)), dtype=np.float32)
-    emitted = len(ids) - len(prompt)
-    logits[-1, script[min(emitted, len(script) - 1)]] = 10.0
-    return md.ForwardResult(logits=md.nc.Tensor(logits))
+    logits[-1, script[min(len(calls), len(script) - 1)]] = 10.0
+    calls.append(len(ids))
+    return md.ForwardResult(logits=md.nc.Tensor(logits), hidden=None, attention=[])
 
 
 inf.forward = scripted_forward
 out = inf.greedy_decode(bundle, prompt, max_new=64, eos_id=vocab.eos_id)
 inf.forward = real_forward
+print(f"{len(calls)} forward calls ran {sum(calls)} positions: the {len(prompt)} prompt "
+      f"tokens and each of the {len(out)} generated ones but the last")
 
 # %% structural parsing: the first reserved token routes the mode
 parse = inf.parse_tcot(out, vocab)
@@ -62,8 +66,7 @@ print("a_en:", repr(vocab.decode(parse.a_en)))
 print("a_x: ", repr(vocab.decode(parse.a_x)))
 
 # %% multi-turn: only the source-language portions become history
-next_history = inf.build_multiturn_input(
-    [(toy.translate(q_en), parse)], toy.translate(f"say {w2}"), vocab)
+next_history = inf.build_multiturn_input([parse], toy.translate(f"say {w2}"), vocab)
 print("\nhistory for the next turn:", next_history.turns)
 print("pending:", next_history.pending)
 

@@ -68,11 +68,11 @@ def cmd_infer(cfg, ws, args):
     _, vocab = pl._vocabs(ws)
     bundle = pl._load_ckpt(ws, args.checkpoint, vocab)
     lang = cfg.languages[0]
-    turns = []
+    parses = []
     rows_out = []
     for row in wd.load_jsonl(args.input):
         query = row["query"]
-        history = build_multiturn_input(turns, query, vocab)
+        history = build_multiturn_input(parses, query, vocab)
         prompt = render_template(history, vocab)
         out = greedy_decode(bundle, prompt, max_new=args.max_new, eos_id=vocab.eos_id)
         record = {"query": query}
@@ -87,7 +87,7 @@ def cmd_infer(cfg, ws, args):
                 if ids is not None:
                     record[name] = vocab.decode(ids)
             if parse.mode == "tcot":
-                turns.append((query, parse))
+                parses.append(parse)
         except ParseError as e:
             record["mode"] = "unparseable"
             record["error"] = str(e)
@@ -114,7 +114,7 @@ def cmd_analyze_forgetting(cfg, ws, args):
         os.path.join(ws.root, "data", f"valid_rkd_{cfg.languages[0]}.jsonl"))
     reports = ev.forgetting_probability(
         {args.checkpoint: pl._load_ckpt(ws, args.checkpoint, vocab)},
-        pl._load_ckpt(ws, args.reference, vocab), rkd_valid, vocab)
+        pl._load_ckpt(ws, args.reference, vocab), rkd_valid)
     print(json.dumps(reports[args.checkpoint].to_dict(), indent=1, sort_keys=True))
 
 

@@ -12,7 +12,7 @@ packed, and their loss masks cover target tokens only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -327,36 +327,25 @@ def pack_and_mix(records: list, pad_id: int, seed: int, kind: str,
 # persistence
 # ---------------------------------------------------------------------------
 
-_ROW_FIELDS = {
-    "cpt": ("ids",),
-    "translation-cpt": ("ids", "direction"),
-    "rkd": ("q_en", "a_en", "input_ids", "target_ids"),
-    "tcot": ("q_x", "q_en", "a_en", "a_x", "input_ids", "target_ids"),
-    "translation-sft": ("input_ids", "target_ids", "meta"),
-    "direct-sft": ("input_ids", "target_ids", "meta"),
-}
-
 _ROW_TYPES = {
     "cpt": CptRecord,
     "translation-cpt": TranslationCptRecord,
     "rkd": RkdRecord,
     "tcot": TcotRecord,
+    "translation-sft": SftRecord,
+    "direct-sft": SftRecord,
 }
 
 
 def record_to_row(record) -> dict:
-    row = {"kind": record.kind}
-    for f in _ROW_FIELDS[record.kind]:
-        row[f] = getattr(record, f)
-    return row
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
 def record_from_row(row: dict):
-    kind = row["kind"]
-    fields = {f: row[f] for f in _ROW_FIELDS[kind]}
-    if kind in _ROW_TYPES:
-        return _ROW_TYPES[kind](**fields)
-    return SftRecord(kind=kind, **fields)
+    cls = _ROW_TYPES.get(row.get("kind"))
+    if cls is None:
+        raise DataError(f"unknown record kind {row.get('kind')!r}")
+    return cls(**{f.name: row[f.name] for f in fields(cls)})
 
 
 def save_records(path, records) -> None:

@@ -20,7 +20,7 @@ from .datapipe import RkdRecord, TcotRecord
 from .inference import (ConversationHistory, ParseError, greedy_decode,
                         parse_tcot, render_template)
 from .model import ModelBundle, forward
-from .tokenizer import EN, RESPONSE, Vocabulary, lang_token
+from .tokenizer import Vocabulary
 
 
 class EvalError(ValueError):
@@ -144,6 +144,21 @@ def agreement_rate(judge_a, judge_b, include_ties: bool = True) -> float:
 # ---------------------------------------------------------------------------
 
 
+def chain_spans(prompt_len: int, output_ids: list[int], vocab: Vocabulary,
+                language: str = "X") -> dict[str, tuple[int, int]]:
+    """[start, end) of the query, its translation, the source answer and
+    the target answer over prompt + output, where the output is a full
+    translation chain; anything else raises ParseError."""
+    parse = parse_tcot(output_ids, vocab, language=language)
+    if parse.mode != "tcot":
+        raise ParseError(f"need a full chain output, got mode {parse.mode}")
+    q_en = prompt_len + 1                  # after ⟨EN⟩
+    a_en = q_en + len(parse.q_en) + 1      # after ⟨response⟩
+    a_x = a_en + len(parse.a_en) + 1       # after ⟨X⟩
+    return {"q_x": (0, prompt_len), "q_en": (q_en, a_en - 1),
+            "a_en": (a_en, a_x - 1), "a_x": (a_x, a_x + len(parse.a_x))}
+
+
 @dataclass
 class ForgettingReport:
     p_model: float
@@ -155,27 +170,25 @@ class ForgettingReport:
                 "difference": self.difference}
 
 
-def _answer_token_probability(bundle: ModelBundle, record: RkdRecord,
-                              vocab: Vocabulary) -> float:
+def _answer_token_probability(bundle: ModelBundle, record: RkdRecord) -> float:
     """Mean probability the model assigns to the teacher answer tokens,
-    teacher-forced behind the ⟨response⟩ sentinel."""
-    answer = vocab.encode(record.a_en)
+    the stored target between its ⟨response⟩ sentinel and ⟨EOS⟩,
+    teacher-forced behind the sentinel."""
+    answer = record.target_ids[1:-1]
     if not answer:
         return 1.0
-    context = list(record.input_ids) + [vocab.special_id(RESPONSE)]
-    ids = context + answer
+    ids = list(record.input_ids) + list(record.target_ids[:-1])
     out = forward(ids, bundle.weights, bundle.adapters)
     logits = out.logits.data.astype(np.float64)
     shifted = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(shifted)
     probs /= probs.sum(axis=1, keepdims=True)
-    rows = np.arange(len(context) - 1, len(ids) - 1)
+    rows = np.arange(len(record.input_ids), len(ids) - 1)
     return float(np.mean(probs[rows, answer]))
 
 
 def forgetting_probability(models: dict[str, ModelBundle], reference: ModelBundle,
-                           rkd_valid: list[RkdRecord],
-                           vocab: Vocabulary) -> dict[str, ForgettingReport]:
+                           rkd_valid: list[RkdRecord]) -> dict[str, ForgettingReport]:
     """Mean generation probability of held-out teacher answers for each
     named model and for the pre-transfer reference, and the absolute gap
     between them. Every model scores the identical forced token
@@ -186,7 +199,7 @@ def forgetting_probability(models: dict[str, ModelBundle], reference: ModelBundl
         raise EvalError("models must share a vocabulary")
 
     def mean_probability(bundle: ModelBundle) -> float:
-        return float(np.mean([_answer_token_probability(bundle, r, vocab) for r in rkd_valid]))
+        return float(np.mean([_answer_token_probability(bundle, r) for r in rkd_valid]))
 
     p_ref = mean_probability(reference)
     reports = {}
@@ -233,27 +246,21 @@ def hidden_similarity(bundle: ModelBundle, tcot_valid: list[TcotRecord],
     adapters change."""
     if bundle.adapters is None:
         raise EvalError("hidden similarity needs a model with adapters attached")
-    resp = vocab.special_id(RESPONSE)
-    x_tok = vocab.special_id(lang_token(language))
-    eos = vocab.eos_id
     en_vals: list[float] = []
     x_vals: list[float] = []
     skipped = 0
     for r in tcot_valid:
-        ids = list(r.input_ids) + list(r.target_ids)
         try:
-            resp_at = ids.index(resp)
-            x_at = ids.index(x_tok, resp_at + 1)
-        except ValueError:
+            spans = chain_spans(len(r.input_ids), r.target_ids, vocab, language)
+        except ParseError:
             skipped += 1
             continue
-        end = ids.index(eos, x_at + 1) if eos in ids[x_at + 1:] else len(ids)
-        base = forward(ids, bundle.weights, None, want_hidden=True).hidden.data
-        adapted = forward(ids, bundle.weights, bundle.adapters, want_hidden=True).hidden.data
-        for t in range(resp_at + 1, x_at):
-            en_vals.append(_cosine(base[t], adapted[t]))
-        for t in range(x_at + 1, end):
-            x_vals.append(_cosine(base[t], adapted[t]))
+        ids = list(r.input_ids) + list(r.target_ids)
+        base = forward(ids, bundle.weights, None).hidden.data
+        adapted = forward(ids, bundle.weights, bundle.adapters).hidden.data
+        for name, vals in (("a_en", en_vals), ("a_x", x_vals)):
+            for t in range(*spans[name]):
+                vals.append(_cosine(base[t], adapted[t]))
     if not en_vals or not x_vals:
         raise EvalError("no scorable segments in the validation records")
     return SimilarityReport(en_segment=float(np.mean(en_vals)),
@@ -281,25 +288,10 @@ def attention_dump(bundle: ModelBundle, prompt_ids: list[int], output_ids: list[
     """Final-layer head-averaged attention over prompt+output with the
     chain segments annotated and the target-answer rows' mass broken
     down by source segment."""
-    parse = parse_tcot(output_ids, vocab, language=language)
-    if parse.mode != "tcot":
-        raise ParseError(f"attention dump needs a full chain output, got mode {parse.mode}")
+    segments = chain_spans(len(prompt_ids), output_ids, vocab, language)
     ids = list(prompt_ids) + list(output_ids)
-    out = forward(ids, bundle.weights, bundle.adapters, want_attention=True)
-    matrix = out.attention[-1]
-
-    p = len(prompt_ids)
-    en_at = p
-    resp_at = p + 1 + len(parse.q_en)
-    x_at = resp_at + 1 + len(parse.a_en)
-    end = x_at + 1 + len(parse.a_x)
-    segments = {
-        "q_x": (0, p),
-        "q_en": (en_at + 1, resp_at),
-        "a_en": (resp_at + 1, x_at),
-        "a_x": (x_at + 1, end),
-    }
-    rows = matrix[x_at + 1:end]
+    matrix = forward(ids, bundle.weights, bundle.adapters).attention[-1].mean(axis=0)
+    rows = matrix[slice(*segments["a_x"])]
     mass: dict[str, float] = {}
     if rows.size:
         covered = np.zeros(matrix.shape[1], dtype=bool)

@@ -77,25 +77,25 @@ def greedy_decode(bundle: ModelBundle, prompt_ids: list[int], max_new: int,
     picks the first maximum); stops after emitting eos_id or max_new
     tokens. No sampling anywhere.
 
-    Decoding is cached: the prompt runs through the model once, and each
-    later step runs only the newest token against the stored keys and
-    values. The first generated token is bit-identical to an uncached
-    forward over the prompt; later logits agree with it to float32
-    rounding."""
+    Decoding is cached: the first forward runs the prompt, and each
+    later one runs only the newest token against the stored keys and
+    values, so every token passes through the model once. The first
+    generated token is bit-identical to an uncached forward over the
+    prompt; later logits agree with it to float32 rounding."""
     max_len = bundle.config.max_seq_len
     if len(prompt_ids) >= max_len:
         raise SequenceLengthError(
             f"prompt of {len(prompt_ids)} tokens leaves no room in context {max_len}")
-    ids = list(prompt_ids)
+    ids = prompt_ids
     out: list[int] = []
     cache = KVCache(bundle.config, bundle.weights.embed.dtype)
     for _ in range(max_new):
-        result = forward(ids, bundle.weights, bundle.adapters, cache=cache)
-        nxt = int(np.argmax(result.logits.data[-1]))
+        row = forward(ids, bundle.weights, bundle.adapters, cache=cache).logits.data[-1]
+        nxt = int(np.argmax(row))
         out.append(nxt)
-        ids.append(nxt)
-        if nxt == eos_id or len(ids) >= max_len:
+        if nxt == eos_id or len(prompt_ids) + len(out) >= max_len:
             break
+        ids = [nxt]
     return out
 
 
@@ -159,7 +159,7 @@ def parse_tcot(output_ids: list[int], vocab: Vocabulary,
         f"reserved tokens out of order or duplicated: {names}", positions)
 
 
-def build_multiturn_input(prior_turns: list[tuple[str, TcotParse]], new_query_x: str,
+def build_multiturn_input(prior_parses: list[TcotParse], new_query_x: str,
                           vocab: Vocabulary) -> ConversationHistory:
     """Assemble the conversation for the next target-language turn.
 
@@ -168,7 +168,7 @@ def build_multiturn_input(prior_turns: list[tuple[str, TcotParse]], new_query_x:
     step); reserved tokens are stripped by construction.
     """
     turns = []
-    for _, parse in prior_turns:
+    for parse in prior_parses:
         if parse.mode != "tcot" or parse.q_en is None:
             raise InferenceError("prior turn did not parse as a translation chain")
         turns.append((vocab.decode(parse.q_en), vocab.decode(parse.a_en)))

@@ -296,80 +296,70 @@ def _causal_mask(t: int, dtype) -> np.ndarray:
 
 @dataclass
 class ForwardResult:
-    # rows are the positions the call ran: all T, or with a cache the new ones
-    logits: nc.Tensor                      # [rows, vocab]
-    hidden: nc.Tensor | None = None        # [rows, d] last block output
-    attention: list[np.ndarray] | None = None  # per layer, head-averaged [rows, T]
+    # rows are the positions the call ran: the ids it was passed
+    logits: nc.Tensor                 # [rows, vocab]
+    hidden: nc.Tensor                 # [rows, d] last block output
+    attention: list[np.ndarray]       # per layer, [n_heads, rows, T] probabilities
 
 
 class KVCache:
-    """Every layer's key and value rows for the tokens a cached forward
-    has run so far, in buffers sized for the longest sequence."""
+    """Every layer's key and value rows for the first `length` positions
+    a cached forward has run, in buffers sized for the longest sequence."""
 
     def __init__(self, config: ModelConfig, dtype=np.float32):
         shape = (config.n_layers, config.max_seq_len, config.d_model)
         self.k = np.zeros(shape, dtype=dtype)
         self.v = np.zeros(shape, dtype=dtype)
-        self.ids: list[int] = []
-
-    @property
-    def length(self) -> int:
-        return len(self.ids)
+        self.length = 0
 
     def extend(self, layer: int, k: nc.Tensor, v: nc.Tensor) -> tuple[nc.Tensor, nc.Tensor]:
-        """Store the new rows of one layer; return all of its rows so far."""
-        start, stop = self.length, self.length + k.shape[0]
-        self.k[layer, start:stop] = k.data
-        self.v[layer, start:stop] = v.data
+        """Store one layer's rows after the first `length`; return all of
+        its rows through them."""
+        stop = self.length + k.shape[0]
+        self.k[layer, self.length:stop] = k.data
+        self.v[layer, self.length:stop] = v.data
         return nc.Tensor(self.k[layer, :stop]), nc.Tensor(self.v[layer, :stop])
 
 
-def forward(ids, weights: TransformerWeights, adapters=None,
-            want_hidden: bool = False, want_attention: bool = False,
-            training: bool = False, rng=None, cache: KVCache | None = None) -> ForwardResult:
-    """Run the decoder over a token sequence.
+def forward(ids, weights: TransformerWeights, adapters=None, training: bool = False,
+            rng=None, cache: KVCache | None = None) -> ForwardResult:
+    """Run the decoder over the tokens `ids`, one result row each.
 
     Position t attends only to positions <= t. Run without adapters
     (adapters=None) or with still-zero ones, the result equals the base
     model's output exactly. In training mode the adapter branches drop
     out at config.lora_dropout, drawn from rng.
 
-    With a cache, ids must extend the tokens the cache holds. Only the
-    new rows run through the layers, against the cached keys and values
-    plus their own, and every result field covers the new rows only
-    (attention maps are [new, T]). A fresh cache computes every row as
-    the uncached call does, bit for bit; later calls agree with it to
-    float32 rounding (one-row products sum in another order). A cache
-    cannot be used while a tape records.
+    With a cache, ids are the tokens that follow the cache's `length`
+    and run at positions length, length + 1, ..., against the cached
+    keys and values plus their own (attention maps are [n_heads, new,
+    length + new]). The cache's length grows only once every layer has
+    run, so a call that fails leaves it as it was. A fresh cache computes
+    every row as the uncached call does, bit for bit; later calls agree
+    with it to float32 rounding (one-row products sum in another order).
+    A cache cannot be used while a tape records.
     """
     config = weights.config
-    ids = list(ids)
     t = len(ids)
+    start = 0 if cache is None else cache.length
     if t == 0:
         raise ModelError("forward needs at least one token")
-    if t > config.max_seq_len:
-        raise SequenceLengthError(f"sequence length {t} exceeds max_seq_len {config.max_seq_len}")
-    for i in ids:
-        if not 0 <= int(i) < config.vocab_size:
-            raise ModelError(f"token id {i} out of vocabulary range")
-    start = 0
-    if cache is not None:
-        if nc.active_tape() is not None:
-            raise ModelError("a key/value cache cannot be used while a tape records")
-        start = cache.length
-        if t <= start or ids[:start] != cache.ids:
-            raise ModelError(f"ids do not extend the {start} tokens the cache holds")
+    if start + t > config.max_seq_len:
+        raise SequenceLengthError(
+            f"sequence length {start + t} exceeds max_seq_len {config.max_seq_len}")
+    if cache is not None and nc.active_tape() is not None:
+        raise ModelError("a key/value cache cannot be used while a tape records")
 
-    mask = _causal_mask(t, weights.embed.dtype)[start:]
-    attn_maps: list[np.ndarray] | None = [] if want_attention else None
+    mask = _causal_mask(start + t, weights.embed.dtype)[start:]
+    attention: list[np.ndarray] = []
     dropout = config.lora_dropout if training else 0.0
 
     def proj(rows: nc.Tensor, w: nc.Tensor, layer_idx: int, target: str) -> nc.Tensor:
         adapter = None if adapters is None else adapters[layer_idx].get(target)
         return lora_apply(rows, w, adapter, dropout, rng)
 
-    h = nc.add(nc.embedding(weights.embed, ids[start:]),
-               nc.embedding(weights.pos, list(range(start, t))))
+    h = nc.add(nc.embedding(weights.embed, ids),
+               nc.embedding(weights.pos, range(start, start + t)))
     for li, layer in enumerate(weights.layers):
         x = nc.layer_norm(h, layer.ln1_g, layer.ln1_b)
         q = proj(x, layer.wq, li, "wq")
@@ -378,8 +368,7 @@ def forward(ids, weights: TransformerWeights, adapters=None,
         if cache is not None:
             k, v = cache.extend(li, k, v)
         ctx, probs = nc.attention(q, k, v, config.n_heads, mask)
-        if attn_maps is not None:
-            attn_maps.append(probs.mean(axis=0))
+        attention.append(probs)
         h = nc.add(h, proj(ctx, layer.wo, li, "wo"))
 
         x = nc.layer_norm(h, layer.ln2_g, layer.ln2_b)
@@ -387,15 +376,11 @@ def forward(ids, weights: TransformerWeights, adapters=None,
         up = proj(x, layer.w_up, li, "w_up")
         h = nc.add(h, proj(nc.mul(gate, up), layer.w_down, li, "w_down"))
     if cache is not None:
-        cache.ids = ids
+        cache.length = start + t
 
     final = nc.layer_norm(h, weights.lnf_g, weights.lnf_b)
     logits = nc.matmul(final, weights.head)
-    return ForwardResult(
-        logits=logits,
-        hidden=h if want_hidden else None,
-        attention=attn_maps,
-    )
+    return ForwardResult(logits=logits, hidden=h, attention=attention)
 
 
 # ---------------------------------------------------------------------------

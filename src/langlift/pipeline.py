@@ -549,15 +549,14 @@ def _multiturn_probe(bundle, valid_q, first_turns, spec, vocab, max_new: int) ->
         return 0.0
     ok = 0
     total = 0
-    for (q1, out1), (q2, _) in zip(probes[::2], probes[1::2]):
-        qx1 = wd.oracle_translate(spec, q1.text, "en->x")
+    for (_, out1), (q2, _) in zip(probes[::2], probes[1::2]):
         qx2 = wd.oracle_translate(spec, q2.text, "en->x")
         total += 1
         try:
             parse1 = parse_tcot(out1, vocab, language=spec.language)
             if parse1.mode != "tcot":
                 continue
-            history = build_multiturn_input([(qx1, parse1)], qx2, vocab)
+            history = build_multiturn_input([parse1], qx2, vocab)
             prompt2 = render_template(history, vocab)
             out2 = greedy_decode(bundle, prompt2, max_new=max_new, eos_id=vocab.eos_id)
             if parse_tcot(out2, vocab, language=spec.language).mode == "tcot":
@@ -606,7 +605,7 @@ def step_evaluate(cfg: RunConfig, ws: Workspace) -> dict:
 
         forgetting = {name: r.to_dict() for name, r in ev.forgetting_probability(
             {"cpt_only": cpt_only, "final": final, "direct_sft": direct},
-            reference, rkd_valid, full_vocab).items()}
+            reference, rkd_valid).items()}
 
         similarity = ev.hidden_similarity(final, tcot_valid, full_vocab,
                                           language=lang).to_dict()

@@ -295,6 +295,8 @@ def test_records_jsonl_round_trip(tmp_path, toy, rkd, tcot):
         else:
             assert orig.input_ids == back.input_ids
             assert orig.target_ids == back.target_ids
+    with pytest.raises(dp.DataError):
+        dp.record_from_row({"kind": "no-such-kind", "ids": [1]})
 
 
 def test_dataset_manifest_counts(toy, rkd, tcot):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -216,7 +217,7 @@ def rkd_valid(toy):
 
 def test_forgetting_self_is_zero(toy, rkd_valid):
     bundle = small_bundle(len(toy.vocab))
-    reports = ev.forgetting_probability({"self": bundle}, bundle, rkd_valid, toy.vocab)
+    reports = ev.forgetting_probability({"self": bundle}, bundle, rkd_valid)
     assert list(reports) == ["self"]
     assert reports["self"].difference == 0.0
 
@@ -233,7 +234,7 @@ def test_forgetting_scores_the_reference_once(toy, rkd_valid, monkeypatch):
         return forward(ids, weights, *a, **kw)
 
     monkeypatch.setattr(ev, "forward", counting_forward)
-    reports = ev.forgetting_probability(models, reference, rkd_valid, toy.vocab)
+    reports = ev.forgetting_probability(models, reference, rkd_valid)
     assert calls.count(id(reference.weights)) == len(rkd_valid)
     assert all(calls.count(id(m.weights)) == len(rkd_valid) for m in models.values())
     assert list(reports) == ["a", "b", "c"]
@@ -242,8 +243,7 @@ def test_forgetting_scores_the_reference_once(toy, rkd_valid, monkeypatch):
         assert r.p_original == p_ref
         assert r.difference == abs(p_ref - r.p_model)
         # each entry matches scoring that model against the reference alone
-        alone = ev.forgetting_probability({name: models[name]}, reference,
-                                          rkd_valid, toy.vocab)[name]
+        alone = ev.forgetting_probability({name: models[name]}, reference, rkd_valid)[name]
         assert alone == r
 
 
@@ -270,11 +270,11 @@ def test_forgetting_hand_logits(toy, rkd_valid, monkeypatch):
             logits[row, tok_id] = np.log(p)
             logits[row, other] = np.log(1 - p)
             logits[row, [i for i in range(v) if i not in (tok_id, other)]] = -1e9
-        return md.ForwardResult(logits=md.nc.Tensor(logits))
+        return md.ForwardResult(logits=md.nc.Tensor(logits), hidden=None, attention=[])
 
     monkeypatch.setattr(ev, "forward", fake_forward)
     bundle = small_bundle(v)
-    got = ev._answer_token_probability(bundle, record, toy.vocab)
+    got = ev._answer_token_probability(bundle, record)
     want = np.mean([(0.8, 0.5)[k % 2] for k in range(len(answer))])
     assert abs(got - want) < 1e-5
 
@@ -282,7 +282,7 @@ def test_forgetting_hand_logits(toy, rkd_valid, monkeypatch):
 def test_forgetting_empty_rejected(toy):
     bundle = small_bundle(len(toy.vocab))
     with pytest.raises(ev.EvalError):
-        ev.forgetting_probability({"self": bundle}, bundle, [], toy.vocab)
+        ev.forgetting_probability({"self": bundle}, bundle, [])
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +299,11 @@ def test_similarity_zero_adapters_exactly_one(toy, tcot_valid):
     report = ev.hidden_similarity(bundle, tcot_valid, toy.vocab)
     assert report.en_segment == 1.0
     assert report.x_segment == 1.0
+    assert report.skipped == 0
+    # a record whose target is not a full chain is skipped, not scored
+    broken = replace(tcot_valid[0], target_ids=tcot_valid[0].target_ids[1:])  # no ⟨EN⟩
+    assert ev.hidden_similarity(bundle, tcot_valid + [broken], toy.vocab) == ev.SimilarityReport(
+        en_segment=1.0, x_segment=1.0, skipped=1)
 
 
 def test_similarity_departs_with_trained_adapters(toy, tcot_valid):

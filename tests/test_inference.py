@@ -60,50 +60,66 @@ def test_render_template_encodes(toy):
 # greedy decoding on a rigged model
 # ---------------------------------------------------------------------------
 
-def rigged_bundle(sequence, vocab_size=12, tie_pair=None):
-    """A bundle whose forward is monkeypatched to emit `sequence`."""
-    config = md.ModelConfig(vocab_size=vocab_size, n_layers=1, d_model=8, n_heads=2,
+def rigged_bundle():
+    """A small bundle for decoding through a monkeypatched forward."""
+    config = md.ModelConfig(vocab_size=12, n_layers=1, d_model=8, n_heads=2,
                             d_ff=16, max_seq_len=32, lora_rank=1, lora_alpha=1.0,
                             lora_dropout=0.0)
     weights = md.init_weights(config, seed=0)
     return md.ModelBundle(config=config, weights=weights)
 
 
-def test_greedy_emits_rigged_sequence(monkeypatch):
-    bundle = rigged_bundle([3, 5, 7])
-    script = [3, 5, 7, 1, 1, 1]
+def scripted_forward(script):
+    """A forward whose n-th call puts the top logit on script[n]."""
+    emit = iter(script)
 
     def fake_forward(ids, weights, adapters=None, **kw):
         logits = np.zeros((len(ids), 12), dtype=np.float32)
-        logits[-1, script[len(ids) - 2]] = 5.0
-        return md.ForwardResult(logits=md.nc.Tensor(logits))
+        logits[-1, next(emit)] = 5.0
+        return md.ForwardResult(logits=md.nc.Tensor(logits), hidden=None, attention=[])
 
-    monkeypatch.setattr(inf, "forward", fake_forward)
-    out = inf.greedy_decode(bundle, [0, 0], max_new=3)
-    assert out == [3, 5, 7]
+    return fake_forward
+
+
+def test_greedy_emits_rigged_sequence(monkeypatch):
+    monkeypatch.setattr(inf, "forward", scripted_forward([3, 5, 7, 1, 1, 1]))
+    assert inf.greedy_decode(rigged_bundle(), [0, 0], max_new=3) == [3, 5, 7]
 
 
 def test_greedy_tie_breaks_to_lowest_id(monkeypatch):
-    bundle = rigged_bundle([])
-
     def fake_forward(ids, weights, adapters=None, **kw):
-        return md.ForwardResult(logits=md.nc.Tensor(np.zeros((len(ids), 12), dtype=np.float32)))
+        logits = np.zeros((len(ids), 12), dtype=np.float32)
+        return md.ForwardResult(logits=md.nc.Tensor(logits), hidden=None, attention=[])
 
     monkeypatch.setattr(inf, "forward", fake_forward)
-    assert inf.greedy_decode(bundle, [0], max_new=2) == [0, 0]
+    assert inf.greedy_decode(rigged_bundle(), [0], max_new=2) == [0, 0]
 
 
 def test_greedy_stops_at_eos(monkeypatch):
-    bundle = rigged_bundle([])
-    script = [4, 9, 2, 2]
+    monkeypatch.setattr(inf, "forward", scripted_forward([4, 9, 2, 2]))
+    assert inf.greedy_decode(rigged_bundle(), [0], max_new=8, eos_id=9) == [4, 9]
 
-    def fake_forward(ids, weights, adapters=None, **kw):
-        logits = np.zeros((len(ids), 12), dtype=np.float32)
-        logits[-1, script[len(ids) - 1]] = 5.0
-        return md.ForwardResult(logits=md.nc.Tensor(logits))
 
-    monkeypatch.setattr(inf, "forward", fake_forward)
-    assert inf.greedy_decode(bundle, [0], max_new=8, eos_id=9) == [4, 9]
+def test_greedy_runs_every_token_once(monkeypatch):
+    config = md.ModelConfig(vocab_size=17, n_layers=1, d_model=8, n_heads=2, d_ff=16,
+                            max_seq_len=24, lora_rank=1, lora_alpha=1.0, lora_dropout=0.0)
+    bundle = md.ModelBundle(config=config, weights=md.init_weights(config, seed=5))
+    forward = inf.forward
+    calls = []
+
+    def recording_forward(ids, *args, **kw):
+        calls.append(list(ids))
+        return forward(ids, *args, **kw)
+
+    monkeypatch.setattr(inf, "forward", recording_forward)
+    prompt = [1, 2, 3, 4]
+    for max_new in (1, 6, 40):  # the last one runs into max_seq_len
+        calls.clear()
+        out = inf.greedy_decode(bundle, prompt, max_new=max_new)
+        assert calls[0] == prompt
+        assert calls[1:] == [[t] for t in out[:-1]]
+        assert sum(map(len, calls)) == len(prompt) + len(out) - 1
+    assert len(prompt) + len(out) == config.max_seq_len
 
 
 def test_greedy_prefix_stable():
@@ -227,7 +243,7 @@ def make_parse(toy, q_en, a_en, a_x):
 
 def test_multiturn_uses_en_history(toy):
     parse = make_parse(toy, "say me", "me", "zum")
-    history = inf.build_multiturn_input([("sep zum", parse)], "new q", toy.vocab)
+    history = inf.build_multiturn_input([parse], "new q", toy.vocab)
     assert history.turns == [("say me", "me")]
     assert history.pending == "new q"
 
@@ -240,4 +256,4 @@ def test_multiturn_zero_turns(toy):
 def test_multiturn_rejects_unparsed(toy):
     bad = inf.TcotParse(mode="en-direct", a_en=[1])
     with pytest.raises(inf.InferenceError):
-        inf.build_multiturn_input([("q", bad)], "new", toy.vocab)
+        inf.build_multiturn_input([bad], "new", toy.vocab)

@@ -51,11 +51,14 @@ def test_output_shape(setup):
 
 def test_attention_rows_sum_to_one(setup):
     config, weights, _ = setup
-    out = md.forward([1, 2, 3, 4, 5], weights, want_attention=True)
+    out = md.forward([1, 2, 3, 4, 5], weights)
     assert len(out.attention) == config.n_layers
+    assert out.hidden.shape == (5, config.d_model)
     for attn in out.attention:
-        assert np.abs(attn.sum(axis=1) - 1.0).max() < 1e-6
-        assert np.abs(np.triu(attn, k=1)).max() == 0.0
+        assert attn.shape == (config.n_heads, 5, 5)
+        assert np.abs(attn.sum(axis=2) - 1.0).max() < 1e-6
+        for head in attn:
+            assert np.abs(np.triu(head, k=1)).max() == 0.0
 
 
 def test_overlong_input_rejected(setup):
@@ -92,13 +95,15 @@ def adapted():
 
 
 def cached_rows(ids, chunks, weights, adapters):
-    """Logits and hidden rows of ids, fed through one cache in chunks."""
+    """Logits and hidden rows of ids, each chunk passed to its own call
+    on one cache."""
     cache = md.KVCache(weights.config)
     logits, hidden, stop = [], [], 0
     for n in chunks:
+        out = md.forward(ids[stop:stop + n], weights, adapters, cache=cache)
         stop += n
-        out = md.forward(ids[:stop], weights, adapters, want_hidden=True, cache=cache)
         assert out.logits.shape[0] == n and cache.length == stop
+        assert out.attention[0].shape == (weights.config.n_heads, n, stop)
         logits.append(out.logits.data)
         hidden.append(out.hidden.data)
     return np.concatenate(logits), np.concatenate(hidden)
@@ -109,9 +114,8 @@ def test_cache_first_call_bit_identical(adapted):
     rng = np.random.default_rng(13)
     for t in (1, 2, 7, config.max_seq_len):
         ids = rand_ids(config, rng, t=t)
-        full = md.forward(ids, weights, adapters, want_hidden=True)
-        first = md.forward(ids, weights, adapters, want_hidden=True,
-                           cache=md.KVCache(config))
+        full = md.forward(ids, weights, adapters)
+        first = md.forward(ids, weights, adapters, cache=md.KVCache(config))
         assert np.array_equal(first.logits.data, full.logits.data)
         assert np.array_equal(first.hidden.data, full.hidden.data)
 
@@ -126,7 +130,7 @@ def test_cache_matches_uncached_forward(adapted, chunks):
     rng = np.random.default_rng(14)
     for _ in range(5):
         ids = rand_ids(config, rng, t=sum(chunks))
-        full = md.forward(ids, weights, adapters, want_hidden=True)
+        full = md.forward(ids, weights, adapters)
         logits, hidden = cached_rows(ids, chunks, weights, adapters)
         assert np.abs(logits - full.logits.data).max() < 1e-5
         assert np.abs(hidden - full.hidden.data).max() < 1e-5
@@ -139,16 +143,35 @@ def test_cache_under_tape_rejected(adapted):
             md.forward([1, 2, 3], weights, adapters, cache=md.KVCache(config))
 
 
-def test_cache_rejects_ids_that_do_not_extend_it(adapted):
+def test_cache_overflow_leaves_it_unchanged(adapted, monkeypatch):
     config, weights, adapters = adapted
     cache = md.KVCache(config)
     md.forward([1, 2, 3], weights, adapters, cache=cache)
-    for ids in ([1, 2, 3], [1, 2], [1, 5, 3, 4]):
-        with pytest.raises(md.ModelError):
-            md.forward(ids, weights, adapters, cache=cache)
+    with pytest.raises(md.SequenceLengthError):
+        md.forward([4] * (config.max_seq_len - 2), weights, adapters, cache=cache)
     assert cache.length == 3
-    md.forward([1, 2, 3, 4], weights, adapters, cache=cache)
-    assert cache.length == 4
+
+    # a call that fails in its last layer does not count its rows either
+    attention = nc.attention
+    calls = []
+
+    def failing_attention(*args):
+        calls.append(None)
+        if len(calls) == config.n_layers:
+            raise RuntimeError("attention failed")
+        return attention(*args)
+
+    monkeypatch.setattr(nc, "attention", failing_attention)
+    with pytest.raises(RuntimeError):
+        md.forward([5, 6], weights, adapters, cache=cache)
+    monkeypatch.setattr(nc, "attention", attention)
+    assert cache.length == 3
+
+    rest = [4] * (config.max_seq_len - 3)
+    out = md.forward(rest, weights, adapters, cache=cache)
+    assert cache.length == config.max_seq_len
+    full = md.forward([1, 2, 3] + rest, weights, adapters)
+    assert np.abs(out.logits.data - full.logits.data[3:]).max() < 1e-5
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,7 @@ def test_validation_rigged_certainty(toy):
             for t in range(len(ids) - 1):
                 logits[t, [2, 3, 0][t]] = 30.0
             logits[-1, 0] = 30.0
-            return md.ForwardResult(logits=md.nc.Tensor(logits))
+            return md.ForwardResult(logits=md.nc.Tensor(logits), hidden=None, attention=[])
 
     orig = tr.forward
     tr.forward = Rigged()
