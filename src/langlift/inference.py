@@ -20,6 +20,13 @@ from .tokenizer import EN, EOS, RESPONSE, Vocabulary, lang_token
 
 DEFAULT_SYSTEM_PROMPT = "You are a helpful assistant."
 
+# the chat template's fixed segments: the first instruction's opener with
+# the system block, the close of every instruction, and the break between
+# a turn's answer and the next instruction
+SYSTEM_OPEN = f"<s>[INST] <<SYS>>\n{DEFAULT_SYSTEM_PROMPT}\n<</SYS>>\n\n"
+INST_CLOSE = " [/INST] "
+TURN_BREAK = " </s><s>[INST] "
+
 # characters the chat template and fine-tuning targets may introduce on
 # top of the corpus alphabet; the vocabulary learner is fed these
 TEMPLATE_CHARS = sorted(set(
@@ -57,14 +64,8 @@ def render_template_text(history: ConversationHistory) -> str:
     """
     if not history.pending:
         raise InferenceError("pending query must be non-empty")
-    first_prefix = f"<s>[INST] <<SYS>>\n{DEFAULT_SYSTEM_PROMPT}\n<</SYS>>\n\n"
-    parts = []
-    for i, (q, a) in enumerate(history.turns):
-        prefix = first_prefix if i == 0 else "<s>[INST] "
-        parts.append(f"{prefix}{q} [/INST] {a} </s>")
-    prefix = first_prefix if not history.turns else "<s>[INST] "
-    parts.append(f"{prefix}{history.pending} [/INST]")
-    return "".join(parts)
+    turns = [q + INST_CLOSE + a for q, a in history.turns] + [history.pending]
+    return SYSTEM_OPEN + TURN_BREAK.join(turns) + INST_CLOSE.rstrip()
 
 
 def render_template(history: ConversationHistory, vocab: Vocabulary) -> list[int]:

@@ -92,8 +92,7 @@ class TransformerWeights:
         yield "embed", self.embed
         yield "pos", self.pos
         for i, layer in enumerate(self.layers):
-            for fname in ("ln1_g", "ln1_b", "wq", "wk", "wv", "wo",
-                          "ln2_g", "ln2_b", "w_gate", "w_up", "w_down"):
+            for fname in _layer_shapes(self.config):
                 yield f"layers.{i}.{fname}", getattr(layer, fname)
         yield "lnf_g", self.lnf_g
         yield "lnf_b", self.lnf_b
@@ -282,18 +281,6 @@ def extend_embeddings(weights: TransformerWeights, old_vocab_size: int,
 # forward pass
 # ---------------------------------------------------------------------------
 
-_mask_cache: dict[tuple[int, str], np.ndarray] = {}
-
-
-def _causal_mask(t: int, dtype) -> np.ndarray:
-    key = (t, np.dtype(dtype).name)
-    m = _mask_cache.get(key)
-    if m is None:
-        m = np.triu(np.full((t, t), _NEG_MASK, dtype=dtype), k=1)
-        _mask_cache[key] = m
-    return m
-
-
 @dataclass
 class ForwardResult:
     # rows are the positions the call ran: the ids it was passed
@@ -350,7 +337,8 @@ def forward(ids, weights: TransformerWeights, adapters=None, training: bool = Fa
     if cache is not None and nc.active_tape() is not None:
         raise ModelError("a key/value cache cannot be used while a tape records")
 
-    mask = _causal_mask(start + t, weights.embed.dtype)[start:]
+    # the causal mask's rows for positions start .. start + t - 1
+    mask = np.triu(np.full((t, start + t), _NEG_MASK, weights.embed.dtype), k=start + 1)
     attention: list[np.ndarray] = []
     dropout = config.lora_dropout if training else 0.0
 

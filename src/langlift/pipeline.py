@@ -29,7 +29,7 @@ from . import evallab as ev
 from . import tokenizer as tok
 from . import world as wd
 from .atomic import atomic_open
-from .inference import (DEFAULT_SYSTEM_PROMPT, TEMPLATE_CHARS,
+from .inference import (INST_CLOSE, SYSTEM_OPEN, TEMPLATE_CHARS, TURN_BREAK,
                         ConversationHistory, build_multiturn_input,
                         greedy_decode, parse_tcot, render_template,
                         render_template_text)
@@ -289,8 +289,7 @@ def _load_world(cfg: RunConfig, ws: Workspace, lang: str):
 
 def _format_lines() -> list[str]:
     lines = [
-        f"<s>[INST] <<SYS>>\n{DEFAULT_SYSTEM_PROMPT}\n<</SYS>>\n\n",
-        " [/INST] ", " </s><s>[INST] ",
+        SYSTEM_OPEN, INST_CLOSE, TURN_BREAK,
         # part of the shipped BPE corpus; dropping it changes the merges
         "Let me interpret the instruction in English: "
         " Then the English response is: "
@@ -528,8 +527,10 @@ def step_train_transfer(cfg: RunConfig, ws: Workspace) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _lenient_hit(answer: str | None, expected: str) -> bool:
-    return answer is not None and sorted(answer.split()) == sorted(expected.split())
+def _lenient_scores(acc: ev.AccuracyReport) -> list[int]:
+    """Judge scores that credit answers with the right words in any order."""
+    return [10 if a is not None and sorted(a.split()) == sorted(e.split()) else 1
+            for a, e in zip(acc.answers, acc.expected)]
 
 
 def _verdicts(scores_a, scores_b):
@@ -539,31 +540,30 @@ def _verdicts(scores_a, scores_b):
     return out
 
 
-def _multiturn_probe(bundle, valid_q, first_turns, spec, vocab, max_new: int) -> float:
+def _multiturn_probe(bundle, acc: ev.AccuracyReport, vocab, language: str,
+                     max_new: int) -> float:
     """Share of second turns that still come back as a well-formed chain
     when the first turn's source-language portions form the history.
-    `first_turns` holds the bundle's own decode of each validation query,
-    so only the second turns are decoded here."""
-    probes = [(q, out) for q, out in zip(valid_q, first_turns) if not q.harmful][:8]
-    if len(probes) < 2:
+    Pairs up the first eight harmless queries of `acc`, the bundle's own
+    accuracy pass, so only the second turns are decoded here."""
+    probes = [(posed, out) for posed, out, harmful in zip(acc.posed, acc.outputs, acc.harmful)
+              if not harmful][:8]
+    pairs = list(zip(probes[::2], probes[1::2]))
+    if not pairs:
         return 0.0
     ok = 0
-    total = 0
-    for (_, out1), (q2, _) in zip(probes[::2], probes[1::2]):
-        qx2 = wd.oracle_translate(spec, q2.text, "en->x")
-        total += 1
+    for (_, out1), (qx2, _) in pairs:
         try:
-            parse1 = parse_tcot(out1, vocab, language=spec.language)
+            parse1 = parse_tcot(out1, vocab, language=language)
             if parse1.mode != "tcot":
                 continue
-            history = build_multiturn_input([parse1], qx2, vocab)
-            prompt2 = render_template(history, vocab)
+            prompt2 = render_template(build_multiturn_input([parse1], qx2, vocab), vocab)
             out2 = greedy_decode(bundle, prompt2, max_new=max_new, eos_id=vocab.eos_id)
-            if parse_tcot(out2, vocab, language=spec.language).mode == "tcot":
+            if parse_tcot(out2, vocab, language=language).mode == "tcot":
                 ok += 1
         except (ev.ParseError, SequenceLengthError):
             continue
-    return 100.0 * ok / total if total else 0.0
+    return 100.0 * ok / len(pairs)
 
 
 def step_evaluate(cfg: RunConfig, ws: Workspace) -> dict:
@@ -611,30 +611,19 @@ def step_evaluate(cfg: RunConfig, ws: Workspace) -> dict:
                                           language=lang).to_dict()
 
         # strict vs lenient judge agreement on the pairwise comparison
-        # (lenient credits answers with the right words in any order)
-        strict_a, strict_b = acc_final.judge_scores, acc_direct.judge_scores
-        lenient_a = [10 if _lenient_hit(a, e) else 1
-                     for a, e in zip(acc_final.answers, acc_final.expected)]
-        lenient_b = [10 if _lenient_hit(a, e) else 1
-                     for a, e in zip(acc_direct.answers, acc_direct.expected)]
-        agreement = {
-            "with_tie": ev.agreement_rate(_verdicts(strict_a, strict_b),
-                                          _verdicts(lenient_a, lenient_b),
-                                          include_ties=True),
-        }
+        strict = _verdicts(acc_final.judge_scores, acc_direct.judge_scores)
+        lenient = _verdicts(_lenient_scores(acc_final), _lenient_scores(acc_direct))
+        agreement = {"with_tie": ev.agreement_rate(strict, lenient, include_ties=True)}
         try:
-            agreement["without_tie"] = ev.agreement_rate(
-                _verdicts(strict_a, strict_b), _verdicts(lenient_a, lenient_b),
-                include_ties=False)
+            agreement["without_tie"] = ev.agreement_rate(strict, lenient, include_ties=False)
         except ev.EvalError:
             agreement["without_tie"] = None
 
         # the first validation output that parses as a chain, reusing the
         # accuracy pass's decodes
         attention_summary = None
-        for q, out in zip(valid_q, acc_final.outputs):
-            qx = wd.oracle_translate(spec, q.text, "en->x")
-            prompt = render_template(ConversationHistory(pending=qx), full_vocab)
+        for posed, out in zip(acc_final.posed, acc_final.outputs):
+            prompt = render_template(ConversationHistory(pending=posed), full_vocab)
             try:
                 dump = ev.attention_dump(final, prompt, out, full_vocab, language=lang)
             except ev.ParseError:
@@ -657,8 +646,8 @@ def step_evaluate(cfg: RunConfig, ws: Workspace) -> dict:
             "hidden_similarity": similarity,
             "judge_agreement": agreement,
             "attention_x_row_mass": attention_summary,
-            "multiturn_chain_rate": _multiturn_probe(final, valid_q, acc_final.outputs,
-                                                     spec, full_vocab, cfg.eval_max_new),
+            "multiturn_chain_rate": _multiturn_probe(final, acc_final, full_vocab, lang,
+                                                     cfg.eval_max_new),
         }
 
     report_path = ws.write_json("report/report.json", report)

@@ -11,7 +11,7 @@ is a pure function of (spec, seed).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -77,17 +77,7 @@ class ToyLanguageSpec:
             raise WorldError("source and target surfaces overlap")
 
     def to_json(self) -> str:
-        doc = {
-            "version": 1,
-            "language": self.language,
-            "words": self.words,
-            "content_words": self.content_words,
-            "cipher": self.cipher,
-            "templates": self.templates,
-            "harmful_markers": self.harmful_markers,
-            "kv_table": self.kv_table,
-            "refusal": self.refusal,
-        }
+        doc = {"version": 1, **{f.name: getattr(self, f.name) for f in fields(self) if f.init}}
         return json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=1)
 
     @classmethod
@@ -95,16 +85,7 @@ class ToyLanguageSpec:
         doc = json.loads(text)
         if doc.get("version") != 1:
             raise WorldError("unsupported language spec version")
-        return cls(
-            language=doc["language"],
-            words=doc["words"],
-            content_words=doc["content_words"],
-            cipher=doc["cipher"],
-            templates=doc["templates"],
-            harmful_markers=doc["harmful_markers"],
-            kv_table=doc["kv_table"],
-            refusal=doc["refusal"],
-        )
+        return cls(**{f.name: doc[f.name] for f in fields(cls) if f.init})
 
 
 def _pseudo_word(rng, consonants, vowels, n_syllables):
