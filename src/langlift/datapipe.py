@@ -228,6 +228,7 @@ def mix_finetune(tcot: list[TcotRecord], rkd: list[RkdRecord],
 class TrainExample:
     ids: np.ndarray        # int32 token ids
     loss_mask: np.ndarray  # bool, True exactly on positions trained as targets
+    lengths: tuple[int, ...] | None = None  # a stack: its sequences' lengths, end to end
 
     @property
     def n_target(self) -> int:

@@ -207,22 +207,38 @@ def adapters_named(adapters):
 
 
 def lora_apply(h: nc.Tensor, w: nc.Tensor, adapter: LoraAdapter | None,
-               dropout: float = 0.0, rng=None) -> nc.Tensor:
+               keep: np.ndarray | None = None) -> nc.Tensor:
     """x @ W, plus the adapter branch when an adapter is passed.
 
     Without an adapter the projection runs as the base model's. A
     still-zero adapter adds exactly 0.0, so the output is bit-identical
-    to the base projection. Dropout at rate `dropout` hits only the
-    adapter branch; forward passes a non-zero rate in training mode only.
+    to the base projection. keep, a dropout multiplier shaped like h,
+    hits only the adapter branch; forward passes one in training mode
+    only.
     """
     if adapter is None:
         return nc.matmul(h, w)
-    keep = None
-    if dropout > 0.0:
-        if rng is None:
-            raise ModelError("training-mode dropout needs a generator")
-        keep = nc.dropout_keep(h.shape, dropout, rng, h.dtype)
     return nc.low_rank_matmul(h, w, adapter.down, adapter.up, adapter.scale, keep)
+
+
+def _dropout_keeps(config: ModelConfig, adapters, lengths, rng,
+                   dtype) -> dict[tuple[int, str], np.ndarray]:
+    """Every adapter branch's dropout multiplier for sequences of these
+    lengths laid end to end, keyed by (layer, target). Drawn sequence by
+    sequence, and within one by layer and target in the order forward
+    applies them, so a stacked forward draws exactly what separate
+    forwards over its sequences would."""
+    if rng is None:
+        raise ModelError("training-mode dropout needs a generator")
+    widths = {target: shape[0] for target, shape in _layer_shapes(config).items()}
+    parts: dict[tuple[int, str], list[np.ndarray]] = {}
+    for n in lengths:
+        for li, per_layer in enumerate(adapters):
+            for target in ALL_TARGETS:
+                if target in per_layer:
+                    parts.setdefault((li, target), []).append(
+                        nc.dropout_keep((n, widths[target]), config.lora_dropout, rng, dtype))
+    return {key: p[0] if len(p) == 1 else np.concatenate(p) for key, p in parts.items()}
 
 
 def merge_adapters(weights: TransformerWeights, adapters) -> TransformerWeights:
@@ -286,7 +302,9 @@ class ForwardResult:
     # rows are the positions the call ran: the ids it was passed
     logits: nc.Tensor                 # [rows, vocab]
     hidden: nc.Tensor                 # [rows, d] last block output
-    attention: list[np.ndarray]       # per layer, [n_heads, rows, T] probabilities
+    # per layer, [n_heads, rows, T] probabilities; for sequences laid end
+    # to end, per layer a list of each sequence's [n_heads, L, L]
+    attention: list
 
 
 class KVCache:
@@ -309,13 +327,21 @@ class KVCache:
 
 
 def forward(ids, weights: TransformerWeights, adapters=None, training: bool = False,
-            rng=None, cache: KVCache | None = None) -> ForwardResult:
+            rng=None, cache: KVCache | None = None, lengths=None) -> ForwardResult:
     """Run the decoder over the tokens `ids`, one result row each.
 
     Position t attends only to positions <= t. Run without adapters
     (adapters=None) or with still-zero ones, the result equals the base
     model's output exactly. In training mode the adapter branches drop
     out at config.lora_dropout, drawn from rng.
+
+    With lengths, ids hold several sequences of those lengths laid end to
+    end, and each runs as if passed alone: positions restart at 0, a
+    sequence attends only within itself (only the per-sequence blocks of
+    attention are computed), and dropout masks are drawn sequence by
+    sequence in the order separate calls would draw them. Its rows agree
+    with separate calls to float32 rounding: a product over all rows may
+    sum in another order than one over a sequence's rows.
 
     With a cache, ids are the tokens that follow the cache's `length`
     and run at positions length, length + 1, ..., against the cached
@@ -324,30 +350,45 @@ def forward(ids, weights: TransformerWeights, adapters=None, training: bool = Fa
     run, so a call that fails leaves it as it was. A fresh cache computes
     every row as the uncached call does, bit for bit; later calls agree
     with it to float32 rounding (one-row products sum in another order).
-    A cache cannot be used while a tape records.
+    A cache cannot be used while a tape records, nor with lengths.
     """
     config = weights.config
     t = len(ids)
     start = 0 if cache is None else cache.length
     if t == 0:
         raise ModelError("forward needs at least one token")
-    if start + t > config.max_seq_len:
+    if lengths is not None:
+        if cache is not None:
+            raise ModelError("a key/value cache runs one sequence, not several")
+        if sum(lengths) != t or min(lengths) < 1:
+            raise ModelError(f"lengths {list(lengths)} do not lay out {t} tokens")
+    longest = start + t if lengths is None else max(lengths)
+    if longest > config.max_seq_len:
         raise SequenceLengthError(
-            f"sequence length {start + t} exceeds max_seq_len {config.max_seq_len}")
+            f"sequence length {longest} exceeds max_seq_len {config.max_seq_len}")
     if cache is not None and nc.active_tape() is not None:
         raise ModelError("a key/value cache cannot be used while a tape records")
 
-    # the causal mask's rows for positions start .. start + t - 1
-    mask = np.triu(np.full((t, start + t), _NEG_MASK, weights.embed.dtype), k=start + 1)
-    attention: list[np.ndarray] = []
-    dropout = config.lora_dropout if training else 0.0
+    dtype = weights.embed.dtype
+    if lengths is None:
+        # the causal mask's rows for positions start .. start + t - 1
+        mask = np.triu(np.full((t, start + t), _NEG_MASK, dtype), k=start + 1)
+        positions = range(start, start + t)
+    else:
+        # each sequence uses the leading block of the longest one's mask
+        mask = np.triu(np.full((longest, longest), _NEG_MASK, dtype), k=1)
+        positions = np.concatenate([np.arange(n) for n in lengths])
+    keeps = {}
+    if training and adapters is not None and config.lora_dropout > 0.0:
+        keeps = _dropout_keeps(config, adapters, lengths or [t], rng, dtype)
+    attention: list = []
 
     def proj(rows: nc.Tensor, w: nc.Tensor, layer_idx: int, target: str) -> nc.Tensor:
         adapter = None if adapters is None else adapters[layer_idx].get(target)
-        return lora_apply(rows, w, adapter, dropout, rng)
+        keep = keeps[layer_idx, target] if keeps and adapter is not None else None
+        return lora_apply(rows, w, adapter, keep)
 
-    h = nc.add(nc.embedding(weights.embed, ids),
-               nc.embedding(weights.pos, range(start, start + t)))
+    h = nc.add(nc.embedding(weights.embed, ids), nc.embedding(weights.pos, positions))
     for li, layer in enumerate(weights.layers):
         x = nc.layer_norm(h, layer.ln1_g, layer.ln1_b)
         q = proj(x, layer.wq, li, "wq")
@@ -355,7 +396,7 @@ def forward(ids, weights: TransformerWeights, adapters=None, training: bool = Fa
         v = proj(x, layer.wv, li, "wv")
         if cache is not None:
             k, v = cache.extend(li, k, v)
-        ctx, probs = nc.attention(q, k, v, config.n_heads, mask)
+        ctx, probs = nc.attention(q, k, v, config.n_heads, mask, lengths)
         attention.append(probs)
         h = nc.add(h, proj(ctx, layer.wo, li, "wo"))
 

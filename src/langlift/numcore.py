@@ -4,10 +4,11 @@ Shapes are explicit: 2-D [rows, cols] for matrices, 1-D for bias/gain
 vectors, 0-D for losses. Kernels are plain numpy; the only broadcasting
 is bias-add. Every primitive records onto the active tape when some
 input requires a gradient, and backward() replays the tape in exact
-reverse order; a primitive computes no gradient for an input that does
-not require one. Two fused primitives, low_rank_matmul (a projection
-plus its adapter branch) and attention (all heads at once), each take
-one tape entry where their compositions take many.
+reverse order, freeing each entry once replayed; a primitive computes
+no gradient for an input that does not require one. Two fused
+primitives, low_rank_matmul (a projection plus its adapter branch) and
+attention (all heads, and any sequences laid end to end, at once), each
+take one tape entry where their compositions take many.
 
 Default dtype is float32. Float64 inputs are preserved as-is, which the
 test suite uses for high-precision finite-difference checks; production
@@ -126,20 +127,27 @@ def backward(loss: Tensor) -> None:
     """Populate gradients of everything that produced a scalar loss.
 
     Walks the active tape in exact reverse order from the entry that
-    recorded the loss. Tensors with requires_grad=False never receive a
-    gradient.
+    recorded the loss, consuming it: each entry, and the gradient of the
+    tensor it produced, is dropped as soon as it has been replayed, so
+    only leaves (tensors no entry produced) keep a .grad, and memory
+    held for the backward pass shrinks as it runs. Tensors with
+    requires_grad=False never receive a gradient.
     """
     if loss.data.size != 1:
         raise TapeError(f"backward root must be scalar, got shape {loss.data.shape}")
     entries = [] if _ACTIVE is None else _ACTIVE._entries
     end = next((i for i in range(len(entries) - 1, -1, -1) if entries[i][0] is loss), None)
     if end is None:
-        raise TapeError("backward root was not recorded on the active tape")
+        raise TapeError("backward root was not recorded on the active tape "
+                        "(or the tape was already consumed by a backward pass)")
+    del entries[end + 1:]
     loss.grad = np.ones_like(loss.data)
-    for out, inputs, grad_fn in reversed(entries[:end + 1]):
-        if out.grad is None:
+    while entries:
+        out, inputs, grad_fn = entries.pop()
+        g_out, out.grad = out.grad, None
+        if g_out is None:
             continue
-        grads = grad_fn(out.grad)
+        grads = grad_fn(g_out)
         for inp, g in zip(inputs, grads):
             if g is None or not inp.requires_grad:
                 continue
@@ -309,8 +317,22 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _maybe_record(out, (x, gain, bias), grad_fn)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-              mask: np.ndarray) -> tuple[Tensor, np.ndarray]:
+def _attention_probs(qh, kh, mask, s):
+    """Per-head softmax of scaled scores plus mask: [H, Tq, dh] x [H, Tk, dh] -> [H, Tq, Tk]."""
+    scores = (qh @ kh.transpose(0, 2, 1)) * s + mask
+    e = np.exp(scores - scores.max(axis=2, keepdims=True))
+    return e / e.sum(axis=2, keepdims=True)
+
+
+def _attention_grads(gh, qh, kh, vh, probs, s):
+    """Gradients of q, k and v heads given the output heads' gradient gh."""
+    gp = gh @ vh.transpose(0, 2, 1)
+    gs = probs * (gp - (gp * probs).sum(axis=2, keepdims=True)) * s
+    return gs @ kh, gs.transpose(0, 2, 1) @ qh, probs.transpose(0, 2, 1) @ gh
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarray,
+              lengths=None) -> tuple[Tensor, np.ndarray | list[np.ndarray]]:
     """Multi-head scaled dot-product attention over rows.
 
     q [Tq, d] attends against k, v [Tk, d]; each holds n_heads column
@@ -318,6 +340,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     scores (a large negative above the diagonal makes it causal).
     Returns the head outputs side by side, [Tq, d], and the attention
     probabilities [n_heads, Tq, Tk].
+
+    With lengths, q, k and v hold sequences of those lengths laid end to
+    end (Tq == Tk == sum(lengths)). Each attends only within itself, with
+    mask's leading [L, L] block as its mask, so only the per-sequence
+    blocks are computed; the probabilities come back as a list of one
+    [n_heads, L, L] array per sequence.
     """
     if q.data.ndim != 2 or k.data.ndim != 2 or k.shape != v.shape or q.shape[1] != k.shape[1]:
         raise ShapeError(f"attention needs 2-D q [Tq, d] and k, v [Tk, d], "
@@ -325,8 +353,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     (tq, d), tk = q.shape, k.shape[0]
     if d % n_heads:
         raise ShapeError(f"width {d} does not split into {n_heads} heads")
-    if mask.shape != (tq, tk):
-        raise ShapeError(f"mask shape {mask.shape} does not match {tq} queries by {tk} keys")
+    if lengths is None:
+        if mask.shape != (tq, tk):
+            raise ShapeError(f"mask shape {mask.shape} does not match {tq} queries by {tk} keys")
+    elif tq != tk or sum(lengths) != tq:
+        raise ShapeError(f"lengths {list(lengths)} do not lay out {tq} queries and {tk} keys")
+    elif max(lengths) > min(mask.shape):
+        raise ShapeError(f"mask shape {mask.shape} is smaller than a {max(lengths)}-row sequence")
     dh = d // n_heads
     s = q.dtype.type(1.0 / np.sqrt(dh))
 
@@ -337,16 +370,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         return x.transpose(1, 0, 2).reshape(x.shape[1], d)
 
     qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
-    scores = (qh @ kh.transpose(0, 2, 1)) * s + mask
-    e = np.exp(scores - scores.max(axis=2, keepdims=True))
-    probs = e / e.sum(axis=2, keepdims=True)
-    out = Tensor(rows(probs @ vh))
+    if lengths is None:
+        probs = _attention_probs(qh, kh, mask, s)
+        out = Tensor(rows(probs @ vh))
 
-    def grad_fn(g):
-        gh = heads(g)
-        gp = gh @ vh.transpose(0, 2, 1)
-        gs = probs * (gp - (gp * probs).sum(axis=2, keepdims=True)) * s
-        return rows(gs @ kh), rows(gs.transpose(0, 2, 1) @ qh), rows(probs.transpose(0, 2, 1) @ gh)
+        def grad_fn(g):
+            return tuple(rows(x) for x in _attention_grads(heads(g), qh, kh, vh, probs, s))
+    else:
+        ends = np.cumsum(lengths).tolist()
+        spans = [slice(e - n, e) for n, e in zip(lengths, ends)]
+        probs = [_attention_probs(qh[:, r], kh[:, r], mask[:n, :n], s)
+                 for r, n in zip(spans, lengths)]
+        out = Tensor(rows(np.concatenate([p @ vh[:, r] for p, r in zip(probs, spans)], axis=1)))
+
+        def grad_fn(g):
+            gh = heads(g)
+            per_block = [_attention_grads(gh[:, r], qh[:, r], kh[:, r], vh[:, r], p, s)
+                         for p, r in zip(probs, spans)]
+            return tuple(rows(np.concatenate(x, axis=1)) for x in zip(*per_block))
 
     return _maybe_record(out, (q, k, v), grad_fn), probs
 
@@ -425,25 +466,31 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     return _maybe_record(out, (x,), grad_fn)
 
 
-def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
+def cross_entropy(logits: Tensor, targets, mask=None, weights=None) -> Tensor:
     """Mean negative log-probability of targets over masked positions.
 
     logits [T,V]; targets length T; mask length T of booleans (None means
-    every position counts). Raises EmptyLossError when no position is live.
+    every position counts). Given per-row weights (length T, instead of a
+    mask), the loss is instead the weighted sum of the rows' negative
+    log-probabilities; rows of weight 0 do not count. Raises
+    EmptyLossError when no position is live.
     """
     if logits.data.ndim != 2:
         raise ShapeError("cross_entropy expects logits [T,V]")
     tgt = np.asarray(targets, dtype=np.int64)
     if tgt.shape != (logits.shape[0],):
         raise ShapeError(f"targets length {tgt.shape} does not match logits rows {logits.shape[0]}")
-    if mask is None:
-        live = np.ones(logits.shape[0], dtype=bool)
+    if mask is not None and weights is not None:
+        raise ValueError("cross_entropy takes a mask or weights, not both")
+    if weights is not None:
+        w = np.asarray(weights, dtype=np.float64)
+        live = w != 0
     else:
-        live = np.asarray(mask, dtype=bool)
-        if live.shape != tgt.shape:
-            raise ShapeError("mask length must match targets length")
-    n_live = int(live.sum())
-    if n_live == 0:
+        live = np.ones(tgt.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+        w = live / max(1, live.sum())
+    if live.shape != tgt.shape:
+        raise ShapeError("mask or weights length must match targets length")
+    if not live.any():
         raise EmptyLossError("cross_entropy mask selects no positions")
     if tgt.size and (tgt.min() < 0 or tgt.max() >= logits.shape[1]):
         raise IndexError("target id out of vocabulary range")
@@ -451,14 +498,13 @@ def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
     rows = np.arange(logits.shape[0])
-    nll = log_z - shifted[rows, tgt]
-    loss = (nll * live).sum() / logits.dtype.type(n_live)
+    loss = ((log_z - shifted[rows, tgt]) * w).sum()
     out = Tensor(np.asarray(loss, dtype=logits.dtype))
 
     def grad_fn(g):
         probs = np.exp(shifted - log_z[:, None])
         probs[rows, tgt] -= 1.0
-        probs *= (live / n_live)[:, None]
+        probs *= w[:, None]
         return (probs * g,)
 
     return _maybe_record(out, (logits,), grad_fn)

@@ -4,6 +4,14 @@ Every run is a pure function of (model state, dataset, config): batch
 order derives from (seed, epoch), dropout noise from (seed, step), and
 the learning rate from the step index alone, so a run resumed from a
 checkpoint at step k reproduces the uninterrupted run bit for bit.
+
+An optimizer step runs its records as stacks: consecutive records, each
+trimmed to its last target, laid end to end up to the model's
+max_seq_len rows, with one forward and one backward per stack. Inside a
+stack every record keeps its own positions, attention and dropout
+draws, and counts as the mean over its own targets, so the trained
+weights differ from one tape per record only by float32 summation order
+(one matrix product per stack sums the records' parameter gradients).
 """
 
 from __future__ import annotations
@@ -130,24 +138,68 @@ class AdamW:
             self.moments[name] = (mv["m"], mv["v"])
 
 
-def example_loss(bundle: ModelBundle, example: TrainExample,
-                 training: bool = False, rng=None) -> nc.Tensor:
-    """Masked next-token cross entropy for one sequence.
-
-    Trailing padding is trimmed before the forward pass: targets end
-    every sequence, so nothing real follows the last masked position,
-    and identical records then produce bit-identical losses regardless
-    of how wide their batch was padded.
-    """
-    live = np.nonzero(example.loss_mask)[0]
+def _live_length(example: TrainExample) -> int:
+    """Length up to the last target: nothing real follows it, so training
+    never needs the rest."""
+    live = np.flatnonzero(example.loss_mask)
     if live.size == 0:
         raise TrainerError("example has no target positions")
-    n = int(live[-1]) + 1
+    return int(live[-1]) + 1
+
+
+def stack_examples(examples) -> TrainExample:
+    """The examples as one stack: each trimmed to its last target and laid
+    end to end, so the stack ends on a target."""
+    n = [_live_length(ex) for ex in examples]
+    return TrainExample(ids=np.concatenate([ex.ids[:k] for ex, k in zip(examples, n)]),
+                        loss_mask=np.concatenate([ex.loss_mask[:k] for ex, k in zip(examples, n)]),
+                        lengths=tuple(n))
+
+
+def _stacks(records, max_rows: int) -> list[TrainExample]:
+    """Consecutive records grouped into stacks of at most max_rows rows
+    (trimmed), in order; a record longer than that stands alone."""
+    groups, rows = [], 0
+    for ex in records:
+        n = _live_length(ex)
+        if not groups or rows + n > max_rows:
+            groups.append([])
+            rows = 0
+        groups[-1].append(ex)
+        rows += n
+    return [stack_examples(g) for g in groups]
+
+
+def example_loss(bundle: ModelBundle, example: TrainExample,
+                 training: bool = False, rng=None) -> nc.Tensor:
+    """Masked next-token cross entropy: the mean over the example's
+    targets, or for a stack (see stack_examples) the mean over its
+    sequences of each one's mean over its own targets.
+
+    A single example is trimmed after its last target before the forward
+    pass: nothing real follows it, so identical records give
+    bit-identical losses however wide their batch was padded. A stack
+    runs as one forward in which every sequence sees only itself (see
+    model.forward), so its loss equals the mean of its sequences'
+    one-by-one losses to float32 rounding, dropout included when the
+    generator starts in the same state.
+    """
+    lengths = example.lengths or (_live_length(example),)
+    n = sum(lengths)
     ids = example.ids[:n].tolist()
-    out = forward(ids, bundle.weights, bundle.adapters, training=training, rng=rng)
-    # logits at position t predict token t+1
-    return nc.cross_entropy(out.logits, ids[1:] + [0],
-                            list(example.loss_mask[1:n]) + [False])
+    out = forward(ids, bundle.weights, bundle.adapters, training=training, rng=rng,
+                  lengths=example.lengths)
+    # logits at position t predict token t+1; a sequence's last row
+    # predicts nothing
+    weights = np.zeros(n)
+    start = 0
+    for k in lengths:
+        live = example.loss_mask[start + 1:start + k]
+        if not live.any():
+            raise TrainerError("example has no target positions")
+        weights[start:start + k - 1] = live / (live.sum() * len(lengths))
+        start += k
+    return nc.cross_entropy(out.logits, ids[1:] + [0], weights=weights)
 
 
 def evaluate_validation(bundle: ModelBundle, examples) -> float:
@@ -186,9 +238,11 @@ def train_stage(bundle: ModelBundle, dataset: PackedDataset, config: StageConfig
     Under use_lora the base projections, norms and positional table stay
     frozen and the adapters, embeddings, and head train; otherwise
     everything trains.
-    Gradients of an optimizer step are the exact mean over all records
-    in its accumulation window, so grad_accum x batch_size is
-    arithmetically one batch.
+    Gradients of an optimizer step are the mean over all records in its
+    accumulation window, each record weighted as the mean over its own
+    targets, so grad_accum x batch_size is arithmetically one batch. The
+    window's records run as stacks (see stack_examples), one tape each,
+    at most max_seq_len rows per stack.
     """
     toggles = toggles or AblationToggles()
     if dataset.kind != config.stage:
@@ -213,15 +267,14 @@ def train_stage(bundle: ModelBundle, dataset: PackedDataset, config: StageConfig
     for step in range(start_step, total_steps):
         records = [examples[i] for i in plan[step]]
         rng = np.random.default_rng([config.seed, 402, step])
-        inv_n = 1.0 / len(records)
         step_loss = 0.0
-        for ex in records:
-            # one tape per record; leaf grads accumulate across records
+        for stack in _stacks(records, bundle.config.max_seq_len):
+            # one tape per stack; leaf grads accumulate across stacks
+            share = len(stack.lengths) / len(records)
             with nc.tape():
-                loss = example_loss(bundle, ex, training=True, rng=rng)
-                step_loss += loss.item()
-                nc.backward(nc.scale(loss, inv_n))
-        step_loss *= inv_n
+                loss = example_loss(bundle, stack, training=True, rng=rng)
+                step_loss += loss.item() * share
+                nc.backward(nc.scale(loss, share))
         if not math.isfinite(step_loss):
             raise TrainingDiverged(step)
         lr = lr_at(step, total_steps, config)

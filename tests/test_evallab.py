@@ -393,6 +393,27 @@ def test_exact_match_rigged_oracle_scores_100(toy, monkeypatch):
     assert bypass == 0 and unclear == 0 and reject == 3
 
 
+@pytest.mark.parametrize("right", [True, False])
+def test_exact_match_source_language_mode(toy, monkeypatch, right):
+    # mode "en" poses each query as written and scores the teacher's answer
+    queries = wd.gen_query_set(toy.spec, 12, harmful_fraction=0.25, seed=3)
+    v = toy.vocab
+    by_prompt = {}
+    for q in queries:
+        answer = toy.teacher.answer(q.text)
+        if not right:
+            answer = f"{answer} {answer}"
+        prompt = tuple(render_template(ConversationHistory(pending=q.text), v))
+        by_prompt[prompt] = [v.special_id(tok.RESPONSE)] + v.encode(answer) + [v.eos_id]
+    monkeypatch.setattr(ev, "greedy_decode",
+                        lambda bundle, prompt_ids, max_new, eos_id=None: by_prompt[tuple(prompt_ids)])
+    report = ev.exact_match_eval(small_bundle(len(v)), queries, toy.spec, v, mode="en")
+    assert report.posed == [q.text for q in queries]
+    assert report.parse_rate == 100.0
+    assert report.accuracy == (100.0 if right else 0.0)
+    assert report.refusal_rate == (100.0 if right else 0.0)
+
+
 def test_exact_match_mixed_outcomes_hand_counted(toy, monkeypatch):
     queries = wd.gen_query_set(toy.spec, 12, harmful_fraction=1 / 3, seed=3)
     v = toy.vocab

@@ -175,6 +175,56 @@ def test_cache_overflow_leaves_it_unchanged(adapted, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# sequences laid end to end
+# ---------------------------------------------------------------------------
+
+def test_stacked_forward_matches_separate_forwards(adapted):
+    config, weights, adapters = adapted
+    rng = np.random.default_rng(16)
+    lengths = (7, 1, config.max_seq_len, 4)
+    seqs = [rand_ids(config, rng, t=n) for n in lengths]
+    out = md.forward(sum(seqs, []), weights, adapters, lengths=lengths)
+    assert [a[0].shape for a in out.attention] == [(config.n_heads, 7, 7)] * config.n_layers
+    start = 0
+    for ids in seqs:
+        alone = md.forward(ids, weights, adapters)
+        rows = slice(start, start + len(ids))
+        assert np.abs(out.logits.data[rows] - alone.logits.data).max() < 1e-5
+        assert np.abs(out.hidden.data[rows] - alone.hidden.data).max() < 1e-5
+        start += len(ids)
+
+
+def test_stacked_forward_draws_dropout_sequence_by_sequence(adapted):
+    config, weights, adapters = adapted
+    w = replace(weights, config=replace(config, lora_dropout=0.3))
+    rng = np.random.default_rng(17)
+    seqs = [rand_ids(config, rng, t=n) for n in (5, 9, 3)]
+    stacked = md.forward(sum(seqs, []), w, adapters, training=True,
+                         rng=np.random.default_rng(18), lengths=[5, 9, 3]).logits.data
+    one_rng = np.random.default_rng(18)
+    separate = np.concatenate([md.forward(ids, w, adapters, training=True, rng=one_rng).logits.data
+                               for ids in seqs])
+    assert np.abs(stacked - separate).max() < 1e-5
+    eval_logits = md.forward(sum(seqs, []), w, adapters, lengths=[5, 9, 3]).logits.data
+    assert np.abs(stacked - eval_logits).max() > 1e-3
+
+
+def test_stacked_forward_rejects_bad_lengths(adapted):
+    config, weights, adapters = adapted
+    with pytest.raises(md.ModelError):
+        md.forward([1, 2, 3], weights, adapters, lengths=[1, 1])
+    with pytest.raises(md.ModelError):
+        md.forward([1, 2, 3], weights, adapters, lengths=[3, 0])
+    n = config.max_seq_len
+    # a stack may be longer than max_seq_len, a sequence in it may not
+    assert md.forward([1] * (n + 1), weights, adapters, lengths=[1, n]).logits.shape[0] == n + 1
+    with pytest.raises(md.SequenceLengthError):
+        md.forward([1] * (n + 2), weights, adapters, lengths=[1, n + 1])
+    with pytest.raises(md.ModelError):
+        md.forward([1, 2, 3], weights, adapters, cache=md.KVCache(config), lengths=[2, 1])
+
+
+# ---------------------------------------------------------------------------
 # lora_apply
 # ---------------------------------------------------------------------------
 

@@ -411,6 +411,16 @@ def _fd_attention_rectangular(rng):
             {"q": q, "k": k, "v": v})
 
 
+@prim("attention_stacked")
+def _fd_attention_stacked(rng):
+    # three sequences laid end to end, each attending only within itself
+    q, k, v = (t64(rng.normal(size=(9, 6))) for _ in range(3))
+    mask = np.triu(np.full((4, 4), -1e9), k=1)
+    c = rng.normal(size=(9, 6))
+    return (lambda: _weighted(nc.attention(q, k, v, 2, mask, lengths=(4, 2, 3))[0], c),
+            {"q": q, "k": k, "v": v})
+
+
 @prim("layer_norm")
 def _fd_layer_norm(rng):
     x = t64(rng.normal(size=(3, 6)))
@@ -459,6 +469,14 @@ def _fd_cross_entropy(rng):
     return lambda: nc.cross_entropy(x, targets, mask), {"x": x}
 
 
+@prim("cross_entropy_weighted")
+def _fd_cross_entropy_weighted(rng):
+    x = t64(rng.normal(size=(5, 6)))
+    targets = [1, 5, 0, 2, 4]
+    weights = [0.25, 0.0, 0.5, 0.125, 0.0]
+    return lambda: nc.cross_entropy(x, targets, weights=weights), {"x": x}
+
+
 @prim("sum_all")
 def _fd_sum(rng):
     x = t64(rng.normal(size=(3, 4)))
@@ -470,3 +488,73 @@ def test_primitive_gradients(name):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     build_loss, leaves = PRIMS[name](rng)
     assert_grads_close(build_loss, leaves)
+
+
+# ---------------------------------------------------------------------------
+# sequences laid end to end, weighted losses, a consumed tape
+# ---------------------------------------------------------------------------
+
+def test_attention_stacked_rows_match_separate_sequences():
+    rng = np.random.default_rng(21)
+    lengths, d, n_heads = (5, 1, 3, 4), 8, 2
+    q, k, v = (t64(rng.normal(size=(sum(lengths), d))) for _ in range(3))
+    mask = np.triu(np.full((5, 5), -1e9), k=1)
+    out, probs = nc.attention(q, k, v, n_heads, mask, lengths=lengths)
+    assert [p.shape for p in probs] == [(n_heads, n, n) for n in lengths]
+    start = 0
+    for n, p in zip(lengths, probs):
+        rows = slice(start, start + n)
+        alone, alone_probs = nc.attention(t64(q.data[rows]), t64(k.data[rows]),
+                                          t64(v.data[rows]), n_heads, mask[:n, :n])
+        assert np.abs(out.data[rows] - alone.data).max() < 1e-12
+        assert np.abs(p - alone_probs).max() < 1e-12
+        start += n
+
+
+def test_attention_stacked_rejects_bad_lengths():
+    q = t64(np.ones((5, 4)))
+    with pytest.raises(nc.ShapeError):  # lengths do not add up to the rows
+        nc.attention(q, q, q, 2, np.zeros((3, 3)), lengths=(2, 2))
+    with pytest.raises(nc.ShapeError):  # the mask is smaller than a sequence
+        nc.attention(q, q, q, 2, np.zeros((2, 2)), lengths=(2, 3))
+    k = t64(np.ones((4, 4)))
+    with pytest.raises(nc.ShapeError):  # queries and keys differ in rows
+        nc.attention(q, k, k, 2, np.zeros((3, 3)), lengths=(2, 3))
+
+
+def test_cross_entropy_weights_are_a_weighted_sum():
+    rng = np.random.default_rng(2)
+    logits = rng.normal(size=(5, 4))
+    targets = [0, 3, 1, 1, 2]
+    weights = [0.5, 0.0, 0.25, 0.25, 0.0]
+    nll = [np.log(np.exp(row).sum()) - row[t] for row, t in zip(logits, targets)]
+    loss = nc.cross_entropy(t64(logits), targets, weights=weights)
+    assert abs(loss.item() - float(np.dot(weights, nll))) < 1e-12
+    mask = [True, False, True, True, False]
+    uniform = [1 / 3 if m else 0.0 for m in mask]
+    assert abs(nc.cross_entropy(t64(logits), targets, mask).item()
+               - nc.cross_entropy(t64(logits), targets, weights=uniform).item()) < 1e-12
+    with pytest.raises(nc.EmptyLossError):
+        nc.cross_entropy(t64(logits), targets, weights=[0.0] * 5)
+    with pytest.raises(ValueError):
+        nc.cross_entropy(t64(logits), targets, mask, weights=uniform)
+
+
+def test_backward_consumes_the_tape():
+    rng = np.random.default_rng(4)
+    x = t64(rng.normal(size=(3, 4)), requires_grad=True)
+    w = t64(rng.normal(size=(4, 2)), requires_grad=True)
+    with nc.tape() as t:
+        h = nc.matmul(x, w)
+        y = nc.silu(h)
+        loss = nc.sum_all(y)
+        nc.backward(loss)
+        assert len(t) == 0
+        with pytest.raises(nc.TapeError):
+            nc.backward(loss)
+    # leaves hold the same gradients the chain rule gives
+    sig = 1.0 / (1.0 + np.exp(-h.data))
+    gh = sig * (1.0 + h.data * (1.0 - sig))
+    assert np.abs(x.grad - gh @ w.data.T).max() < 1e-12
+    assert np.abs(w.grad - x.data.T @ gh).max() < 1e-12
+    assert h.grad is None and y.grad is None and loss.grad is None

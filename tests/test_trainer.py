@@ -3,6 +3,7 @@ import pytest
 
 from langlift import datapipe as dp
 from langlift import model as md
+from langlift import numcore as nc
 from langlift import trainer as tr
 from langlift import world as wd
 
@@ -250,3 +251,85 @@ def test_metrics_deterministic(toy, sft16):
         metrics, _ = tr.train_stage(bundle, sft16, config)
         runs.append(metrics)
     assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# stacked steps
+# ---------------------------------------------------------------------------
+
+def _live(ex):
+    return int(np.flatnonzero(ex.loss_mask)[-1]) + 1
+
+
+def adapted_bundle(vocab_size, dropout):
+    """Non-zero adapters, so that their dropout changes the loss."""
+    bundle = small_bundle(vocab_size, lora_dropout=dropout)
+    rng = np.random.default_rng(5)
+    for _, t in md.adapters_named(bundle.adapters):
+        t.data = rng.normal(0.0, 0.3, size=t.shape).astype(np.float32)
+    return bundle
+
+
+def test_stack_loss_is_the_mean_of_record_losses(toy, sft16):
+    records = sft16.examples[:3]
+    stack = tr.stack_examples(records)
+    assert stack.lengths == tuple(_live(ex) for ex in records)
+    assert stack.loss_mask[-1] and len(stack.ids) == sum(stack.lengths)
+
+    bundle = adapted_bundle(len(toy.vocab), dropout=0.3)
+    one_by_one = np.mean([tr.example_loss(bundle, ex).item() for ex in records])
+    assert abs(tr.example_loss(bundle, stack).item() - one_by_one) < 1e-5 * one_by_one
+
+    rng = np.random.default_rng(9)
+    trained = np.mean([tr.example_loss(bundle, ex, training=True, rng=rng).item()
+                       for ex in records])
+    stacked = tr.example_loss(bundle, stack, training=True, rng=np.random.default_rng(9)).item()
+    assert abs(stacked - trained) < 1e-5 * trained
+    assert abs(trained - one_by_one) > 1e-3  # dropout is on
+
+
+@pytest.mark.parametrize("mode", ["lora", "full"])
+def test_stack_gradients_match_per_record_accumulation(toy, sft16, mode):
+    records = sft16.examples[:4]
+    grads = []
+    for stacked in (False, True):
+        bundle = adapted_bundle(len(toy.vocab), dropout=0.3)
+        if mode == "full":
+            bundle.adapters = None
+        md.set_trainable(bundle, mode)
+        rng = np.random.default_rng(10)
+        for ex in [tr.stack_examples(records)] if stacked else records:
+            with nc.tape():
+                loss = tr.example_loss(bundle, ex, training=True, rng=rng)
+                nc.backward(nc.scale(loss, 1.0 if stacked else 1 / len(records)))
+        grads.append({n: t.grad for n, t in bundle.trainable_parameters()})
+    per_record, stacked = grads
+    assert per_record.keys() == stacked.keys()
+    for n, g in per_record.items():
+        assert np.abs(stacked[n] - g).max() <= 1e-5 * np.abs(g).max(), n
+
+
+def test_train_stage_trains_every_target_once_per_epoch(toy, sft16, monkeypatch):
+    # a benchmark counts trained tokens as the live lengths of the
+    # examples example_loss receives; stacking must keep that total
+    calls = []
+    example_loss = tr.example_loss
+
+    def counting(bundle, example, training=False, rng=None):
+        calls.append((training, example))
+        return example_loss(bundle, example, training=training, rng=rng)
+
+    monkeypatch.setattr(tr, "example_loss", counting)
+    bundle = small_bundle(len(toy.vocab))
+    config = tr.StageConfig(stage="transform-sft", peak_lr=1e-3, max_epochs=2,
+                            batch_size=8, valid_every=1, seed=0)
+    tr.train_stage(bundle, sft16, config, valid_examples=sft16.examples[:2])
+    stacks = [ex for training, ex in calls if training]
+    assert all(ex.loss_mask[len(ex.ids) - 1] for ex in stacks)
+    assert all(_live(ex) <= bundle.config.max_seq_len for ex in stacks)
+    assert max(len(ex.lengths) for ex in stacks) > 1
+    assert (sum(_live(ex) for ex in stacks)
+            == config.max_epochs * sum(_live(ex) for ex in sft16.examples))
+    valid = [ex for training, ex in calls if not training]
+    # 4 steps, each validating 2 records one by one
+    assert len(valid) == 4 * 2 and all(ex.lengths is None for ex in valid)
