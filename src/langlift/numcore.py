@@ -18,6 +18,7 @@ code never constructs float64 tensors.
 from __future__ import annotations
 
 import contextlib
+import functools
 
 import numpy as np
 
@@ -152,6 +153,32 @@ def backward(loss: Tensor) -> None:
             if g is None or not inp.requires_grad:
                 continue
             _accumulate(inp, g)
+
+
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def keep_freed_memory() -> None:
+    """Have the C allocator keep freed memory for reuse instead of handing
+    it back to the kernel.
+
+    backward frees a tape entry by entry while it allocates gradients,
+    and the next forward allocates a whole tape again. Under glibc's
+    default thresholds that memory went back to the kernel during every
+    backward and was faulted in again page by page on the next forward,
+    and what a page fault costs varies with the host's load. Here arrays
+    up to 32 MB come from the heap and up to 64 MB of free heap stay
+    mapped. Process-wide; a no-op where the C library has no mallopt.
+    """
+    import ctypes  # loaded only by a process that trains
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 # ---------------------------------------------------------------------------

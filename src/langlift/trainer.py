@@ -263,6 +263,7 @@ def train_stage(bundle: ModelBundle, dataset: PackedDataset, config: StageConfig
     best_loss = None
     best_state: dict[str, np.ndarray] | None = None
 
+    nc.keep_freed_memory()
     params = list(bundle.named_parameters())
     for step in range(start_step, total_steps):
         records = [examples[i] for i in plan[step]]

@@ -1,4 +1,6 @@
 import gc
+import resource
+import sys
 import weakref
 import zlib
 
@@ -558,3 +560,26 @@ def test_backward_consumes_the_tape():
     assert np.abs(x.grad - gh @ w.data.T).max() < 1e-12
     assert np.abs(w.grad - x.data.T @ gh).max() < 1e-12
     assert h.grad is None and y.grad is None and loss.grad is None
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux page faults")
+def test_kept_freed_memory_is_reused_without_page_faults():
+    # each step's tape and gradients take about 20 MB, freed during backward
+    nc.keep_freed_memory()
+    rng = np.random.default_rng(5)
+    ws = [nc.Tensor(rng.normal(size=(256, 256)).astype(np.float32) * 0.05, requires_grad=True)
+          for _ in range(8)]
+    x = nc.Tensor(rng.normal(size=(1024, 256)).astype(np.float32))
+
+    def step_faults():
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        with nc.tape():
+            h = x
+            for w in ws:
+                h = nc.silu(nc.matmul(h, w))
+            nc.backward(nc.sum_all(h))
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    faults = [step_faults() for _ in range(6)]
+    # a 4 KB page each: once warm, a step reuses what the last one freed
+    assert sum(faults[-2:]) < 1024, faults
