@@ -7,6 +7,7 @@ full-parameter training.
 """
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +63,7 @@ straight = md.clone_bundle(bundle)
 m_straight, _ = tr.train_stage(straight, packed3, stage3)
 
 resumed = md.clone_bundle(bundle)
-half = tr.StageConfig(**{**stage3.to_dict(), "max_steps": 3})
+half = replace(stage3, max_steps=3)
 m_half, opt = tr.train_stage(resumed, packed3, half)
 with tempfile.TemporaryDirectory() as tmp:
     tr.save_checkpoint(resumed, opt, tmp + "/ck", step=3, stage="transform-sft")

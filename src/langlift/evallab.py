@@ -290,7 +290,7 @@ def attention_dump(bundle: ModelBundle, prompt_ids: list[int], output_ids: list[
     down by source segment."""
     segments = chain_spans(len(prompt_ids), output_ids, vocab, language)
     ids = list(prompt_ids) + list(output_ids)
-    matrix = forward(ids, bundle.weights, bundle.adapters).attention[-1].mean(axis=0)
+    matrix = forward(ids, bundle.weights, bundle.adapters).attention[-1][0].mean(axis=0)
     rows = matrix[slice(*segments["a_x"])]
     mass: dict[str, float] = {}
     if rows.size:

@@ -238,7 +238,7 @@ def _dropout_keeps(config: ModelConfig, adapters, lengths, rng,
                 if target in per_layer:
                     parts.setdefault((li, target), []).append(
                         nc.dropout_keep((n, widths[target]), config.lora_dropout, rng, dtype))
-    return {key: p[0] if len(p) == 1 else np.concatenate(p) for key, p in parts.items()}
+    return {key: np.concatenate(p) for key, p in parts.items()}
 
 
 def merge_adapters(weights: TransformerWeights, adapters) -> TransformerWeights:
@@ -302,8 +302,8 @@ class ForwardResult:
     # rows are the positions the call ran: the ids it was passed
     logits: nc.Tensor                 # [rows, vocab]
     hidden: nc.Tensor                 # [rows, d] last block output
-    # per layer, [n_heads, rows, T] probabilities; for sequences laid end
-    # to end, per layer a list of each sequence's [n_heads, L, L]
+    # per layer, one [n_heads, n, past + n] array of probabilities per
+    # sequence of n rows (past: the rows a cache held before the call)
     attention: list
 
 
@@ -328,59 +328,56 @@ class KVCache:
 
 def forward(ids, weights: TransformerWeights, adapters=None, training: bool = False,
             rng=None, cache: KVCache | None = None, lengths=None) -> ForwardResult:
-    """Run the decoder over the tokens `ids`, one result row each.
+    """Run the decoder over sequences laid end to end, one result row per
+    token of `ids`.
 
-    Position t attends only to positions <= t. Run without adapters
-    (adapters=None) or with still-zero ones, the result equals the base
-    model's output exactly. In training mode the adapter branches drop
-    out at config.lora_dropout, drawn from rng.
+    lengths gives the sequences' lengths (default one sequence, (len(ids),)).
+    Each runs as if passed alone: its positions start at 0, position t
+    attends only to the positions <= t of its own sequence (only the
+    per-sequence blocks of attention are computed), and dropout masks are
+    drawn sequence by sequence in the order separate calls would draw
+    them. A stack's rows agree with separate calls to float32 rounding: a
+    product over all rows may sum in another order than one over a
+    sequence's rows. Run without adapters (adapters=None) or with
+    still-zero ones, the result equals the base model's output exactly.
+    In training mode the adapter branches drop out at
+    config.lora_dropout, drawn from rng.
 
-    With lengths, ids hold several sequences of those lengths laid end to
-    end, and each runs as if passed alone: positions restart at 0, a
-    sequence attends only within itself (only the per-sequence blocks of
-    attention are computed), and dropout masks are drawn sequence by
-    sequence in the order separate calls would draw them. Its rows agree
-    with separate calls to float32 rounding: a product over all rows may
-    sum in another order than one over a sequence's rows.
-
-    With a cache, ids are the tokens that follow the cache's `length`
-    and run at positions length, length + 1, ..., against the cached
-    keys and values plus their own (attention maps are [n_heads, new,
-    length + new]). The cache's length grows only once every layer has
-    run, so a call that fails leaves it as it was. A fresh cache computes
-    every row as the uncached call does, bit for bit; later calls agree
-    with it to float32 rounding (one-row products sum in another order).
-    A cache cannot be used while a tape records, nor with lengths.
+    A cache holds one sequence: ids are the tokens that follow its
+    `length` and run at positions length, length + 1, ..., against the
+    cached keys and values plus their own (attention maps are [n_heads,
+    new, length + new]). The cache's length grows only once every layer
+    has run, so a call that fails leaves it as it was. A fresh cache
+    computes every row as the uncached call does, bit for bit; later
+    calls agree with it to float32 rounding (one-row products sum in
+    another order). A cache cannot be used while a tape records, nor with
+    more than one sequence.
     """
     config = weights.config
     t = len(ids)
     start = 0 if cache is None else cache.length
     if t == 0:
         raise ModelError("forward needs at least one token")
-    if lengths is not None:
-        if cache is not None:
-            raise ModelError("a key/value cache runs one sequence, not several")
-        if sum(lengths) != t or min(lengths) < 1:
-            raise ModelError(f"lengths {list(lengths)} do not lay out {t} tokens")
-    longest = start + t if lengths is None else max(lengths)
-    if longest > config.max_seq_len:
+    lengths = lengths or (t,)
+    if sum(lengths) != t or min(lengths) < 1:
+        raise ModelError(f"lengths {list(lengths)} do not lay out {t} tokens")
+    if cache is not None and len(lengths) > 1:
+        raise ModelError("a key/value cache runs one sequence, not several")
+    longest = max(lengths)
+    if start + longest > config.max_seq_len:
         raise SequenceLengthError(
-            f"sequence length {longest} exceeds max_seq_len {config.max_seq_len}")
+            f"sequence length {start + longest} exceeds max_seq_len {config.max_seq_len}")
     if cache is not None and nc.active_tape() is not None:
         raise ModelError("a key/value cache cannot be used while a tape records")
 
     dtype = weights.embed.dtype
-    if lengths is None:
-        # the causal mask's rows for positions start .. start + t - 1
-        mask = np.triu(np.full((t, start + t), _NEG_MASK, dtype), k=start + 1)
-        positions = range(start, start + t)
-    else:
-        # each sequence uses the leading block of the longest one's mask
-        mask = np.triu(np.full((longest, longest), _NEG_MASK, dtype), k=1)
-        positions = np.concatenate([np.arange(n) for n in lengths])
+    # the causal mask's rows for positions start .. start + longest - 1;
+    # a sequence of n rows uses its leading [n, start + n] block
+    mask = np.triu(np.full((longest, start + longest), _NEG_MASK, dtype), k=start + 1)
+    positions = np.concatenate([np.arange(start, start + n) for n in lengths])
     keeps = {}
     if training and adapters is not None and config.lora_dropout > 0.0:
-        keeps = _dropout_keeps(config, adapters, lengths or [t], rng, dtype)
+        keeps = _dropout_keeps(config, adapters, lengths, rng, dtype)
     attention: list = []
 
     def proj(rows: nc.Tensor, w: nc.Tensor, layer_idx: int, target: str) -> nc.Tensor:

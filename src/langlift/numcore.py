@@ -7,8 +7,8 @@ input requires a gradient, and backward() replays the tape in exact
 reverse order, freeing each entry once replayed; a primitive computes
 no gradient for an input that does not require one. Two fused
 primitives, low_rank_matmul (a projection plus its adapter branch) and
-attention (all heads, and any sequences laid end to end, at once), each
-take one tape entry where their compositions take many.
+attention (all heads of all the sequences laid end to end in its rows,
+at once), each take one tape entry where their compositions take many.
 
 Default dtype is float32. Float64 inputs are preserved as-is, which the
 test suite uses for high-precision finite-difference checks; production
@@ -359,20 +359,20 @@ def _attention_grads(gh, qh, kh, vh, probs, s):
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarray,
-              lengths=None) -> tuple[Tensor, np.ndarray | list[np.ndarray]]:
-    """Multi-head scaled dot-product attention over rows.
+              lengths=None) -> tuple[Tensor, list[np.ndarray]]:
+    """Multi-head scaled dot-product attention over sequences laid end to
+    end.
 
-    q [Tq, d] attends against k, v [Tk, d]; each holds n_heads column
-    blocks of width d // n_heads. mask [Tq, Tk] is added to every head's
-    scores (a large negative above the diagonal makes it causal).
-    Returns the head outputs side by side, [Tq, d], and the attention
-    probabilities [n_heads, Tq, Tk].
-
-    With lengths, q, k and v hold sequences of those lengths laid end to
-    end (Tq == Tk == sum(lengths)). Each attends only within itself, with
-    mask's leading [L, L] block as its mask, so only the per-sequence
-    blocks are computed; the probabilities come back as a list of one
-    [n_heads, L, L] array per sequence.
+    q [Tq, d] holds sequences of the given lengths laid end to end
+    (default one sequence, (Tq,)); k, v [Tk, d] hold the same rows, and a
+    single sequence's keys may start past = Tk - Tq rows before its
+    queries (the rows a key/value cache already holds). Each of q, k, v
+    holds n_heads column blocks of width d // n_heads. A sequence of n
+    rows attends only within itself, with mask[:n, :n + past] added to
+    every head's scores (a large negative above the diagonal makes it
+    causal), so only the per-sequence blocks are computed. Returns the
+    head outputs side by side, [Tq, d], and the attention probabilities
+    as one [n_heads, n, n + past] array per sequence.
     """
     if q.data.ndim != 2 or k.data.ndim != 2 or k.shape != v.shape or q.shape[1] != k.shape[1]:
         raise ShapeError(f"attention needs 2-D q [Tq, d] and k, v [Tk, d], "
@@ -380,41 +380,41 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarray,
     (tq, d), tk = q.shape, k.shape[0]
     if d % n_heads:
         raise ShapeError(f"width {d} does not split into {n_heads} heads")
-    if lengths is None:
-        if mask.shape != (tq, tk):
-            raise ShapeError(f"mask shape {mask.shape} does not match {tq} queries by {tk} keys")
-    elif tq != tk or sum(lengths) != tq:
+    lengths = lengths or (tq,)
+    past = tk - tq
+    if sum(lengths) != tq or min(lengths) < 1 or past < 0 or (past and len(lengths) > 1):
         raise ShapeError(f"lengths {list(lengths)} do not lay out {tq} queries and {tk} keys")
-    elif max(lengths) > min(mask.shape):
-        raise ShapeError(f"mask shape {mask.shape} is smaller than a {max(lengths)}-row sequence")
+    longest = max(lengths)
+    if mask.shape[0] < longest or mask.shape[1] < longest + past:
+        raise ShapeError(f"mask shape {mask.shape} is smaller than {longest} queries "
+                         f"by {longest + past} keys")
     dh = d // n_heads
     s = q.dtype.type(1.0 / np.sqrt(dh))
 
-    def heads(x):  # [T, d] -> [H, T, dh]
+    def heads(x):  # [T, d] -> [H, T, dh], a view
         return x.reshape(x.shape[0], n_heads, dh).transpose(1, 0, 2)
 
-    def rows(x):  # [H, T, dh] -> [T, d]
-        return x.transpose(1, 0, 2).reshape(x.shape[1], d)
-
     qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
-    if lengths is None:
-        probs = _attention_probs(qh, kh, mask, s)
-        out = Tensor(rows(probs @ vh))
+    ctx = np.empty((tq, d), q.dtype)  # each block's head outputs land in its rows
+    ctx_h = heads(ctx)
+    probs, spans, lo = [], [], 0
+    for n in lengths:
+        # the sequence's query rows, and its key rows (the past ones included)
+        rq, rk = slice(lo, lo + n), slice(lo, lo + n + past)
+        p = _attention_probs(qh[:, rq], kh[:, rk], mask[:n, :n + past], s)
+        np.matmul(p, vh[:, rk], out=ctx_h[:, rq])
+        probs.append(p)
+        spans.append((rq, rk))
+        lo += n
+    out = Tensor(ctx)
 
-        def grad_fn(g):
-            return tuple(rows(x) for x in _attention_grads(heads(g), qh, kh, vh, probs, s))
-    else:
-        ends = np.cumsum(lengths).tolist()
-        spans = [slice(e - n, e) for n, e in zip(lengths, ends)]
-        probs = [_attention_probs(qh[:, r], kh[:, r], mask[:n, :n], s)
-                 for r, n in zip(spans, lengths)]
-        out = Tensor(rows(np.concatenate([p @ vh[:, r] for p, r in zip(probs, spans)], axis=1)))
-
-        def grad_fn(g):
-            gh = heads(g)
-            per_block = [_attention_grads(gh[:, r], qh[:, r], kh[:, r], vh[:, r], p, s)
-                         for p, r in zip(probs, spans)]
-            return tuple(rows(np.concatenate(x, axis=1)) for x in zip(*per_block))
+    def grad_fn(g):
+        gh = heads(g)
+        gq, gk, gv = (np.empty((n, d), g.dtype) for n in (tq, tk, tk))
+        for p, (rq, rk) in zip(probs, spans):
+            heads(gq)[:, rq], heads(gk)[:, rk], heads(gv)[:, rk] = _attention_grads(
+                gh[:, rq], qh[:, rq], kh[:, rk], vh[:, rk], p, s)
+        return gq, gk, gv
 
     return _maybe_record(out, (q, k, v), grad_fn), probs
 
@@ -493,32 +493,26 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     return _maybe_record(out, (x,), grad_fn)
 
 
-def cross_entropy(logits: Tensor, targets, mask=None, weights=None) -> Tensor:
-    """Mean negative log-probability of targets over masked positions.
+def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
+    """Weighted sum of the rows' negative log-probabilities of targets.
 
-    logits [T,V]; targets length T; mask length T of booleans (None means
-    every position counts). Given per-row weights (length T, instead of a
-    mask), the loss is instead the weighted sum of the rows' negative
-    log-probabilities; rows of weight 0 do not count. Raises
-    EmptyLossError when no position is live.
+    logits [T,V]; targets length T; weights length T (None weights every
+    row 1 / T, the mean). Rows of weight 0 do not count. Raises
+    EmptyLossError when no row has a non-zero weight.
     """
     if logits.data.ndim != 2:
         raise ShapeError("cross_entropy expects logits [T,V]")
     tgt = np.asarray(targets, dtype=np.int64)
     if tgt.shape != (logits.shape[0],):
         raise ShapeError(f"targets length {tgt.shape} does not match logits rows {logits.shape[0]}")
-    if mask is not None and weights is not None:
-        raise ValueError("cross_entropy takes a mask or weights, not both")
-    if weights is not None:
-        w = np.asarray(weights, dtype=np.float64)
-        live = w != 0
+    if weights is None:
+        w = np.full(tgt.shape, 1.0 / max(1, tgt.size))
     else:
-        live = np.ones(tgt.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-        w = live / max(1, live.sum())
-    if live.shape != tgt.shape:
-        raise ShapeError("mask or weights length must match targets length")
-    if not live.any():
-        raise EmptyLossError("cross_entropy mask selects no positions")
+        w = np.asarray(weights, dtype=np.float64)
+    if w.shape != tgt.shape:
+        raise ShapeError("weights length must match targets length")
+    if not w.any():
+        raise EmptyLossError("cross_entropy weights select no rows")
     if tgt.size and (tgt.min() < 0 or tgt.max() >= logits.shape[1]):
         raise IndexError("target id out of vocabulary range")
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,9 +62,6 @@ class StageConfig:
             raise TrainerError("warmup_ratio must be in [0, 1)")
         if self.valid_every < 1:
             raise TrainerError("valid_every must be at least 1")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -188,7 +185,7 @@ def example_loss(bundle: ModelBundle, example: TrainExample,
     n = sum(lengths)
     ids = example.ids[:n].tolist()
     out = forward(ids, bundle.weights, bundle.adapters, training=training, rng=rng,
-                  lengths=example.lengths)
+                  lengths=lengths)
     # logits at position t predict token t+1; a sequence's last row
     # predicts nothing
     weights = np.zeros(n)

@@ -54,7 +54,7 @@ def test_attention_rows_sum_to_one(setup):
     out = md.forward([1, 2, 3, 4, 5], weights)
     assert len(out.attention) == config.n_layers
     assert out.hidden.shape == (5, config.d_model)
-    for attn in out.attention:
+    for (attn,) in out.attention:
         assert attn.shape == (config.n_heads, 5, 5)
         assert np.abs(attn.sum(axis=2) - 1.0).max() < 1e-6
         for head in attn:
@@ -103,7 +103,7 @@ def cached_rows(ids, chunks, weights, adapters):
         out = md.forward(ids[stop:stop + n], weights, adapters, cache=cache)
         stop += n
         assert out.logits.shape[0] == n and cache.length == stop
-        assert out.attention[0].shape == (weights.config.n_heads, n, stop)
+        assert out.attention[0][0].shape == (weights.config.n_heads, n, stop)
         logits.append(out.logits.data)
         hidden.append(out.hidden.data)
     return np.concatenate(logits), np.concatenate(hidden)
@@ -222,6 +222,13 @@ def test_stacked_forward_rejects_bad_lengths(adapted):
         md.forward([1] * (n + 2), weights, adapters, lengths=[1, n + 1])
     with pytest.raises(md.ModelError):
         md.forward([1, 2, 3], weights, adapters, cache=md.KVCache(config), lengths=[2, 1])
+    # a cache holds one sequence, which lengths may name
+    caches = md.KVCache(config), md.KVCache(config)
+    for ids in ([1, 2, 3], [4], [5, 6]):
+        plain = md.forward(ids, weights, adapters, cache=caches[0])
+        named = md.forward(ids, weights, adapters, cache=caches[1], lengths=[len(ids)])
+        assert np.array_equal(named.logits.data, plain.logits.data)
+        assert np.array_equal(named.hidden.data, plain.hidden.data)
 
 
 # ---------------------------------------------------------------------------

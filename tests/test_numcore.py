@@ -82,7 +82,7 @@ def test_attention_matches_per_head_composition():
         p = nc.softmax_rows(scores)
         probs.append(p.data)
         heads.append(nc.matmul(p, vh))
-    out, got = nc.attention(q, k, v, n_heads, mask)
+    out, (got,) = nc.attention(q, k, v, n_heads, mask)
     assert np.abs(out.data - nc.concat_cols(heads).data).max() < 1e-12
     assert np.abs(got - np.stack(probs)).max() < 1e-12
     assert np.all(np.triu(got, k=1) == 0.0)
@@ -93,9 +93,9 @@ def test_attention_rectangular_rows_match_square():
     t, d, n_heads = 6, 8, 2
     q, k, v = (t64(rng.normal(size=(t, d))) for _ in range(3))
     mask = np.triu(np.full((t, t), -1e9), k=1)
-    square, square_probs = nc.attention(q, k, v, n_heads, mask)
+    square, (square_probs,) = nc.attention(q, k, v, n_heads, mask)
     for start in range(t):
-        out, probs = nc.attention(t64(q.data[start:]), k, v, n_heads, mask[start:])
+        out, (probs,) = nc.attention(t64(q.data[start:]), k, v, n_heads, mask[start:])
         assert out.shape == (t - start, d) and probs.shape == (n_heads, t - start, t)
         assert np.abs(out.data - square.data[start:]).max() < 1e-12
         assert np.abs(probs - square_probs[:, start:]).max() < 1e-12
@@ -105,13 +105,27 @@ def test_attention_rejects_mismatched_shapes():
     rng = np.random.default_rng(8)
     q = t64(rng.normal(size=(2, 4)))
     k, v = (t64(rng.normal(size=(5, 4))) for _ in range(2))
-    for mask in (np.zeros((5, 5)), np.zeros((2, 4)), np.zeros((5, 2))):
+    # two queries after three past keys need a mask of at least [2, 5]
+    for mask in (np.zeros((1, 5)), np.zeros((2, 4)), np.zeros((5, 2))):
         with pytest.raises(nc.ShapeError):
             nc.attention(q, k, v, 2, mask)
     with pytest.raises(nc.ShapeError):
         nc.attention(q, k, t64(rng.normal(size=(4, 4))), 2, np.zeros((2, 5)))
     with pytest.raises(nc.ShapeError):
         nc.attention(q, t64(rng.normal(size=(5, 6))), v, 2, np.zeros((2, 5)))
+    with pytest.raises(nc.ShapeError):  # fewer keys than queries
+        nc.attention(k, q, q, 2, np.zeros((5, 5)))
+    q = t64(np.ones((5, 4)))
+    with pytest.raises(nc.ShapeError):  # lengths do not add up to the rows
+        nc.attention(q, q, q, 2, np.zeros((3, 3)), lengths=(2, 2))
+    with pytest.raises(nc.ShapeError):  # the mask is smaller than a sequence
+        nc.attention(q, q, q, 2, np.zeros((2, 2)), lengths=(2, 3))
+    k = t64(np.ones((4, 4)))
+    with pytest.raises(nc.ShapeError):  # fewer keys than queries, stacked
+        nc.attention(q, k, k, 2, np.zeros((3, 3)), lengths=(2, 3))
+    k = t64(np.ones((7, 4)))
+    with pytest.raises(nc.ShapeError):  # past keys belong to one sequence only
+        nc.attention(q, k, k, 2, np.zeros((5, 7)), lengths=(2, 3))
 
 
 def test_frozen_inputs_get_no_gradient_from_fused_primitives():
@@ -193,13 +207,14 @@ def test_cross_entropy_mask_matches_per_position_oracle():
         per_pos.append(-np.log(p[targets[i]]))
     expected = np.mean([v for v, m in zip(per_pos, mask) if m])
 
-    loss = nc.cross_entropy(nc.Tensor(logits), targets, mask)
+    weights = [m / sum(mask) for m in mask]
+    loss = nc.cross_entropy(nc.Tensor(logits), targets, weights)
     assert abs(loss.item() - expected) < 1e-6
 
 
 def test_cross_entropy_all_false_mask():
     with pytest.raises(nc.EmptyLossError):
-        nc.cross_entropy(nc.Tensor(np.zeros((2, 3))), [0, 1], [False, False])
+        nc.cross_entropy(nc.Tensor(np.zeros((2, 3))), [0, 1], [0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +482,8 @@ def _fd_dropout(rng):
 def _fd_cross_entropy(rng):
     x = t64(rng.normal(size=(4, 6)))
     targets = [1, 5, 0, 2]
-    mask = [True, True, False, True]
-    return lambda: nc.cross_entropy(x, targets, mask), {"x": x}
+    weights = [1 / 3, 1 / 3, 0.0, 1 / 3]
+    return lambda: nc.cross_entropy(x, targets, weights), {"x": x}
 
 
 @prim("cross_entropy_weighted")
@@ -506,22 +521,11 @@ def test_attention_stacked_rows_match_separate_sequences():
     start = 0
     for n, p in zip(lengths, probs):
         rows = slice(start, start + n)
-        alone, alone_probs = nc.attention(t64(q.data[rows]), t64(k.data[rows]),
-                                          t64(v.data[rows]), n_heads, mask[:n, :n])
+        alone, (alone_probs,) = nc.attention(t64(q.data[rows]), t64(k.data[rows]),
+                                             t64(v.data[rows]), n_heads, mask[:n, :n])
         assert np.abs(out.data[rows] - alone.data).max() < 1e-12
         assert np.abs(p - alone_probs).max() < 1e-12
         start += n
-
-
-def test_attention_stacked_rejects_bad_lengths():
-    q = t64(np.ones((5, 4)))
-    with pytest.raises(nc.ShapeError):  # lengths do not add up to the rows
-        nc.attention(q, q, q, 2, np.zeros((3, 3)), lengths=(2, 2))
-    with pytest.raises(nc.ShapeError):  # the mask is smaller than a sequence
-        nc.attention(q, q, q, 2, np.zeros((2, 2)), lengths=(2, 3))
-    k = t64(np.ones((4, 4)))
-    with pytest.raises(nc.ShapeError):  # queries and keys differ in rows
-        nc.attention(q, k, k, 2, np.zeros((3, 3)), lengths=(2, 3))
 
 
 def test_cross_entropy_weights_are_a_weighted_sum():
@@ -532,14 +536,13 @@ def test_cross_entropy_weights_are_a_weighted_sum():
     nll = [np.log(np.exp(row).sum()) - row[t] for row, t in zip(logits, targets)]
     loss = nc.cross_entropy(t64(logits), targets, weights=weights)
     assert abs(loss.item() - float(np.dot(weights, nll))) < 1e-12
-    mask = [True, False, True, True, False]
-    uniform = [1 / 3 if m else 0.0 for m in mask]
-    assert abs(nc.cross_entropy(t64(logits), targets, mask).item()
-               - nc.cross_entropy(t64(logits), targets, weights=uniform).item()) < 1e-12
+    # no weights is the mean over every row
+    assert abs(nc.cross_entropy(t64(logits), targets).item()
+               - nc.cross_entropy(t64(logits), targets, weights=[0.2] * 5).item()) < 1e-12
     with pytest.raises(nc.EmptyLossError):
         nc.cross_entropy(t64(logits), targets, weights=[0.0] * 5)
-    with pytest.raises(ValueError):
-        nc.cross_entropy(t64(logits), targets, mask, weights=uniform)
+    with pytest.raises(nc.ShapeError):
+        nc.cross_entropy(t64(logits), targets, weights=[0.25] * 4)
 
 
 def test_backward_consumes_the_tape():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -194,7 +196,7 @@ def test_checkpoint_resume_equivalence(tmp_path, toy, sft16):
     m_straight, _ = tr.train_stage(straight, sft16, config)
 
     resumed = small_bundle(len(toy.vocab))
-    half = tr.StageConfig(**{**config.to_dict(), "max_steps": 4})
+    half = replace(config, max_steps=4)
     m_first, opt = tr.train_stage(resumed, sft16, half)
     path = str(tmp_path / "ck")
     tr.save_checkpoint(resumed, opt, path, step=4, stage="transform-sft")
@@ -307,6 +309,28 @@ def test_stack_gradients_match_per_record_accumulation(toy, sft16, mode):
     assert per_record.keys() == stacked.keys()
     for n, g in per_record.items():
         assert np.abs(stacked[n] - g).max() <= 1e-5 * np.abs(g).max(), n
+
+
+@pytest.mark.parametrize("mode", ["lora", "full"])
+def test_padded_record_and_one_record_stack_agree_bit_for_bit(toy, sft16, mode):
+    # a benchmark scores records as pack_and_mix pads them; training runs
+    # them as stacks, so one record must read the same either way
+    record = next(ex for ex in sft16.examples if len(ex.ids) > _live(ex))
+    results = []
+    for ex in (record, tr.stack_examples([record])):
+        bundle = adapted_bundle(len(toy.vocab), dropout=0.3)
+        if mode == "full":
+            bundle.adapters = None
+        md.set_trainable(bundle, mode)
+        with nc.tape():
+            loss = tr.example_loss(bundle, ex, training=True, rng=np.random.default_rng(11))
+            nc.backward(loss)
+        results.append((loss.data, {n: t.grad for n, t in bundle.trainable_parameters()}))
+    (padded_loss, padded), (stacked_loss, stacked) = results
+    assert padded_loss.tobytes() == stacked_loss.tobytes()
+    assert padded.keys() == stacked.keys()
+    for n, g in padded.items():
+        assert np.array_equal(stacked[n], g), n
 
 
 def test_train_stage_trains_every_target_once_per_epoch(toy, sft16, monkeypatch):
