@@ -115,17 +115,6 @@ def test_attention_rejects_mismatched_shapes():
         nc.attention(q, t64(rng.normal(size=(5, 6))), v, 2, np.zeros((2, 5)))
     with pytest.raises(nc.ShapeError):  # fewer keys than queries
         nc.attention(k, q, q, 2, np.zeros((5, 5)))
-    q = t64(np.ones((5, 4)))
-    with pytest.raises(nc.ShapeError):  # lengths do not add up to the rows
-        nc.attention(q, q, q, 2, np.zeros((3, 3)), lengths=(2, 2))
-    with pytest.raises(nc.ShapeError):  # the mask is smaller than a sequence
-        nc.attention(q, q, q, 2, np.zeros((2, 2)), lengths=(2, 3))
-    k = t64(np.ones((4, 4)))
-    with pytest.raises(nc.ShapeError):  # fewer keys than queries, stacked
-        nc.attention(q, k, k, 2, np.zeros((3, 3)), lengths=(2, 3))
-    k = t64(np.ones((7, 4)))
-    with pytest.raises(nc.ShapeError):  # past keys belong to one sequence only
-        nc.attention(q, k, k, 2, np.zeros((5, 7)), lengths=(2, 3))
 
 
 def test_frozen_inputs_get_no_gradient_from_fused_primitives():
@@ -526,6 +515,20 @@ def test_attention_stacked_rows_match_separate_sequences():
         assert np.abs(out.data[rows] - alone.data).max() < 1e-12
         assert np.abs(p - alone_probs).max() < 1e-12
         start += n
+
+
+def test_attention_stacked_rejects_bad_lengths():
+    q = t64(np.ones((5, 4)))
+    with pytest.raises(nc.ShapeError):  # lengths do not add up to the rows
+        nc.attention(q, q, q, 2, np.zeros((3, 3)), lengths=(2, 2))
+    with pytest.raises(nc.ShapeError):  # the mask is smaller than a sequence
+        nc.attention(q, q, q, 2, np.zeros((2, 2)), lengths=(2, 3))
+    k = t64(np.ones((4, 4)))
+    with pytest.raises(nc.ShapeError):  # fewer keys than queries, stacked
+        nc.attention(q, k, k, 2, np.zeros((3, 3)), lengths=(2, 3))
+    k = t64(np.ones((7, 4)))
+    with pytest.raises(nc.ShapeError):  # past keys belong to one sequence only
+        nc.attention(q, k, k, 2, np.zeros((5, 7)), lengths=(2, 3))
 
 
 def test_cross_entropy_weights_are_a_weighted_sum():
