@@ -358,7 +358,8 @@ def forward(ids, weights: TransformerWeights, adapters=None, training: bool = Fa
     start = 0 if cache is None else cache.length
     if t == 0:
         raise ModelError("forward needs at least one token")
-    lengths = lengths or (t,)
+    if lengths is None:
+        lengths = (t,)
     if sum(lengths) != t or min(lengths) < 1:
         raise ModelError(f"lengths {list(lengths)} do not lay out {t} tokens")
     if cache is not None and len(lengths) > 1:

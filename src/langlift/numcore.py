@@ -367,7 +367,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarray,
     (default one sequence, (Tq,)); k, v [Tk, d] hold the same rows, and a
     single sequence's keys may start past = Tk - Tq rows before its
     queries (the rows a key/value cache already holds). Each of q, k, v
-    holds n_heads column blocks of width d // n_heads. A sequence of n
+    holds n_heads column blocks of width d // n_heads. mask is exactly
+    [longest, longest + past] for the longest sequence. A sequence of n
     rows attends only within itself, with mask[:n, :n + past] added to
     every head's scores (a large negative above the diagonal makes it
     causal), so only the per-sequence blocks are computed. Returns the
@@ -380,13 +381,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarray,
     (tq, d), tk = q.shape, k.shape[0]
     if d % n_heads:
         raise ShapeError(f"width {d} does not split into {n_heads} heads")
-    lengths = lengths or (tq,)
+    if lengths is None:
+        lengths = (tq,)
     past = tk - tq
     if sum(lengths) != tq or min(lengths) < 1 or past < 0 or (past and len(lengths) > 1):
         raise ShapeError(f"lengths {list(lengths)} do not lay out {tq} queries and {tk} keys")
     longest = max(lengths)
-    if mask.shape[0] < longest or mask.shape[1] < longest + past:
-        raise ShapeError(f"mask shape {mask.shape} is smaller than {longest} queries "
+    if mask.shape != (longest, longest + past):
+        raise ShapeError(f"mask shape {mask.shape} is not {longest} queries "
                          f"by {longest + past} keys")
     dh = d // n_heads
     s = q.dtype.type(1.0 / np.sqrt(dh))

@@ -215,6 +215,8 @@ def test_stacked_forward_rejects_bad_lengths(adapted):
         md.forward([1, 2, 3], weights, adapters, lengths=[1, 1])
     with pytest.raises(md.ModelError):
         md.forward([1, 2, 3], weights, adapters, lengths=[3, 0])
+    with pytest.raises(md.ModelError):
+        md.forward([1, 2, 3], weights, adapters, lengths=[])
     n = config.max_seq_len
     # a stack may be longer than max_seq_len, a sequence in it may not
     assert md.forward([1] * (n + 1), weights, adapters, lengths=[1, n]).logits.shape[0] == n + 1
