@@ -15,15 +15,12 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import datapipe as dp
 from . import evallab as ev
 from . import pipeline as pl
 from . import tokenizer as tok
 from . import trainer as tr
 from . import world as wd
-from .atomic import atomic_open
 from .inference import (ConversationHistory, InferenceError, ParseError,
                         build_multiturn_input, greedy_decode, parse_tcot,
                         render_template)
@@ -137,11 +134,8 @@ def cmd_attention_dump(cfg, ws, args):
     prompt = render_template(ConversationHistory(pending=query_x), vocab)
     out = greedy_decode(bundle, prompt, max_new=cfg.eval_max_new, eos_id=vocab.eos_id)
     dump = ev.attention_dump(bundle, prompt, out, vocab, language=lang)
-    with atomic_open(args.output, "wb") as f:
-        np.save(f, dump.matrix)
     sidecar = args.output + ".json"
-    with atomic_open(sidecar) as f:
-        json.dump(dump.to_sidecar(), f, indent=1, sort_keys=True)
+    dump.save(args.output, sidecar)
     print(f"wrote {args.output} and {sidecar}")
 
 

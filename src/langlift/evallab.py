@@ -10,12 +10,14 @@ external judge.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import world as wd
+from .atomic import atomic_open
 from .datapipe import RkdRecord, TcotRecord
 from .inference import (ConversationHistory, ParseError, greedy_decode,
                         parse_tcot, render_template)
@@ -278,9 +280,14 @@ class AttentionDump:
     segments: dict[str, tuple[int, int]]  # name -> [start, end) over the sequence
     x_row_mass: dict[str, float]        # column mass per segment, rows inside a_x
 
-    def to_sidecar(self) -> dict:
-        return {"segments": {k: list(v) for k, v in self.segments.items()},
-                "x_row_mass": self.x_row_mass}
+    def save(self, matrix_path: str, sidecar_path: str) -> None:
+        """Write the matrix as .npy and the segments and row mass as a
+        sorted JSON sidecar, each file atomically."""
+        with atomic_open(matrix_path, "wb") as f:
+            np.save(f, self.matrix)
+        with atomic_open(sidecar_path) as f:
+            json.dump({"segments": {k: list(v) for k, v in self.segments.items()},
+                       "x_row_mass": self.x_row_mass}, f, indent=1, sort_keys=True)
 
 
 def attention_dump(bundle: ModelBundle, prompt_ids: list[int], output_ids: list[int],

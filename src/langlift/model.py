@@ -22,8 +22,6 @@ from .atomic import atomic_open
 
 ALL_TARGETS = ("wq", "wk", "wv", "wo", "w_gate", "w_up", "w_down")
 
-_NEG_MASK = -1e9  # finite additive mask; underflows to exact 0 after softmax
-
 
 class ModelError(ValueError):
     pass
@@ -333,10 +331,10 @@ def forward(ids, weights: TransformerWeights, adapters=None, training: bool = Fa
 
     lengths gives the sequences' lengths (default one sequence, (len(ids),)).
     Each runs as if passed alone: its positions start at 0, position t
-    attends only to the positions <= t of its own sequence (only the
-    per-sequence blocks of attention are computed), and dropout masks are
-    drawn sequence by sequence in the order separate calls would draw
-    them. A stack's rows agree with separate calls to float32 rounding: a
+    attends only to the positions <= t of its own sequence (attention is
+    causal by construction and computes only the per-sequence blocks),
+    and dropout masks are drawn sequence by sequence in the order
+    separate calls would draw them. A stack's rows agree with separate calls to float32 rounding: a
     product over all rows may sum in another order than one over a
     sequence's rows. Run without adapters (adapters=None) or with
     still-zero ones, the result equals the base model's output exactly.
@@ -372,9 +370,6 @@ def forward(ids, weights: TransformerWeights, adapters=None, training: bool = Fa
         raise ModelError("a key/value cache cannot be used while a tape records")
 
     dtype = weights.embed.dtype
-    # the causal mask's rows for positions start .. start + longest - 1;
-    # a sequence of n rows uses its leading [n, start + n] block
-    mask = np.triu(np.full((longest, start + longest), _NEG_MASK, dtype), k=start + 1)
     positions = np.concatenate([np.arange(start, start + n) for n in lengths])
     keeps = {}
     if training and adapters is not None and config.lora_dropout > 0.0:
@@ -394,7 +389,7 @@ def forward(ids, weights: TransformerWeights, adapters=None, training: bool = Fa
         v = proj(x, layer.wv, li, "wv")
         if cache is not None:
             k, v = cache.extend(li, k, v)
-        ctx, probs = nc.attention(q, k, v, config.n_heads, mask, lengths)
+        ctx, probs = nc.attention(q, k, v, config.n_heads, lengths)
         attention.append(probs)
         h = nc.add(h, proj(ctx, layer.wo, li, "wo"))
 

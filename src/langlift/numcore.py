@@ -9,6 +9,7 @@ no gradient for an input that does not require one. Two fused
 primitives, low_rank_matmul (a projection plus its adapter branch) and
 attention (all heads of all the sequences laid end to end in its rows,
 at once), each take one tape entry where their compositions take many.
+Attention is causal by construction: it takes no mask.
 
 Default dtype is float32. Float64 inputs are preserved as-is, which the
 test suite uses for high-precision finite-difference checks; production
@@ -23,6 +24,7 @@ import functools
 import numpy as np
 
 DTYPE = np.float32
+_NEG_MASK = -1e9  # finite additive mask; underflows to exact 0 after softmax
 
 
 class ShapeError(ValueError):
@@ -358,22 +360,21 @@ def _attention_grads(gh, qh, kh, vh, probs, s):
     return gs @ kh, gs.transpose(0, 2, 1) @ qh, probs.transpose(0, 2, 1) @ gh
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarray,
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
               lengths=None) -> tuple[Tensor, list[np.ndarray]]:
-    """Multi-head scaled dot-product attention over sequences laid end to
-    end.
+    """Causal multi-head scaled dot-product attention over sequences laid
+    end to end.
 
     q [Tq, d] holds sequences of the given lengths laid end to end
     (default one sequence, (Tq,)); k, v [Tk, d] hold the same rows, and a
     single sequence's keys may start past = Tk - Tq rows before its
     queries (the rows a key/value cache already holds). Each of q, k, v
-    holds n_heads column blocks of width d // n_heads. mask is exactly
-    [longest, longest + past] for the longest sequence. A sequence of n
-    rows attends only within itself, with mask[:n, :n + past] added to
-    every head's scores (a large negative above the diagonal makes it
-    causal), so only the per-sequence blocks are computed. Returns the
-    head outputs side by side, [Tq, d], and the attention probabilities
-    as one [n_heads, n, n + past] array per sequence.
+    holds n_heads column blocks of width d // n_heads. Attention is causal
+    by construction: a sequence of n rows attends only within itself, and
+    its query i sees keys 0 .. past + i, so only the per-sequence blocks
+    are computed. Returns the head outputs side by side, [Tq, d], and the
+    attention probabilities as one [n_heads, n, n + past] array per
+    sequence.
     """
     if q.data.ndim != 2 or k.data.ndim != 2 or k.shape != v.shape or q.shape[1] != k.shape[1]:
         raise ShapeError(f"attention needs 2-D q [Tq, d] and k, v [Tk, d], "
@@ -387,9 +388,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarray,
     if sum(lengths) != tq or min(lengths) < 1 or past < 0 or (past and len(lengths) > 1):
         raise ShapeError(f"lengths {list(lengths)} do not lay out {tq} queries and {tk} keys")
     longest = max(lengths)
-    if mask.shape != (longest, longest + past):
-        raise ShapeError(f"mask shape {mask.shape} is not {longest} queries "
-                         f"by {longest + past} keys")
+    # a block of n > 1 rows adds mask[:n, :n + past]; a one-row block sees every key
+    if longest > 1:
+        mask = np.triu(np.full((longest, longest + past), _NEG_MASK, q.dtype), k=past + 1)
     dh = d // n_heads
     s = q.dtype.type(1.0 / np.sqrt(dh))
 
@@ -403,7 +404,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarray,
     for n in lengths:
         # the sequence's query rows, and its key rows (the past ones included)
         rq, rk = slice(lo, lo + n), slice(lo, lo + n + past)
-        p = _attention_probs(qh[:, rq], kh[:, rk], mask[:n, :n + past], s)
+        p = _attention_probs(qh[:, rq], kh[:, rk], mask[:n, :n + past] if n > 1 else 0.0, s)
         np.matmul(p, vh[:, rk], out=ctx_h[:, rq])
         probs.append(p)
         spans.append((rq, rk))

@@ -22,8 +22,6 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from . import datapipe as dp
 from . import evallab as ev
 from . import tokenizer as tok
@@ -301,16 +299,16 @@ def _format_lines() -> list[str]:
 
 def step_learn_vocab(cfg: RunConfig, ws: Workspace) -> None:
     outputs = []
-    first = _load_world(cfg, ws, cfg.languages[0])
-    v_en = tok.learn_vocab(first["en_mono"] + _format_lines(), cfg.world.en_vocab,
-                           alphabet=TEMPLATE_CHARS)
-    base = tok.merge_vocab(v_en, tok.Vocabulary([], []),
-                           [tok.EOS, tok.PAD, tok.RESPONSE])
-    p = ws.path("vocab", "base.txt")
-    base.save(p)
-    outputs.append(p)
     for lang in cfg.languages:
         data = _load_world(cfg, ws, lang)
+        if lang == cfg.languages[0]:  # the base vocabulary, from its English text
+            v_en = tok.learn_vocab(data["en_mono"] + _format_lines(), cfg.world.en_vocab,
+                                   alphabet=TEMPLATE_CHARS)
+            base = tok.merge_vocab(v_en, tok.Vocabulary([], []),
+                                   [tok.EOS, tok.PAD, tok.RESPONSE])
+            p = ws.path("vocab", "base.txt")
+            base.save(p)
+            outputs.append(p)
         v_x = tok.learn_vocab(data["x_mono"], cfg.world.x_vocab)
         p = ws.path("vocab", f"learned_{lang}.txt")
         v_x.save(p)
@@ -319,22 +317,20 @@ def step_learn_vocab(cfg: RunConfig, ws: Workspace) -> None:
 
 
 def step_merge_vocab(cfg: RunConfig, ws: Workspace) -> None:
-    vocab = tok.Vocabulary.load(os.path.join(ws.root, "vocab", "base.txt"))
+    base = full = tok.Vocabulary.load(os.path.join(ws.root, "vocab", "base.txt"))
     for lang in cfg.languages:
         learned = tok.Vocabulary.load(os.path.join(ws.root, "vocab", f"learned_{lang}.txt"))
-        vocab = tok.merge_vocab(vocab, learned, [tok.EN, tok.lang_token(lang)])
+        full = tok.merge_vocab(full, learned, [tok.EN, tok.lang_token(lang)])
     p = ws.path("vocab", "full.txt")
-    vocab.save(p)
-    _verify_extension_stability(cfg, ws)
+    full.save(p)
+    _verify_extension_stability(cfg, ws, base, full)
     ws.append_manifest("merge-vocab", cfg.hash(), [p])
 
 
-def _verify_extension_stability(cfg: RunConfig, ws: Workspace) -> None:
+def _verify_extension_stability(cfg: RunConfig, ws: Workspace, base, full) -> None:
     """Source-language text must tokenize identically before and after
     the extension; guaranteed by the disjoint surface alphabets, checked
     here against a sample."""
-    base = tok.Vocabulary.load(os.path.join(ws.root, "vocab", "base.txt"))
-    full = tok.Vocabulary.load(os.path.join(ws.root, "vocab", "full.txt"))
     data = _load_world(cfg, ws, cfg.languages[0])
     sample = data["en_mono"][:50] + [
         render_template_text(ConversationHistory(pending=q.text))
@@ -363,20 +359,17 @@ def step_build_data(cfg: RunConfig, ws: Workspace) -> None:
                       dp.dataset_manifest(records, cfg.seed, tok.vocab_hash(vocab)))
         outputs.append(p)
 
-    # source-language chat model data (base vocabulary)
-    first = _load_world(cfg, ws, cfg.languages[0])
-    original_teacher = wd.TeacherOracle(first["spec"])
-    dump("original_lm", dp.build_cpt(first["en_mono"], base_vocab), base_vocab)
-    dump("original_chat", dp.build_rkd(first["chat_q"], original_teacher, base_vocab),
-         base_vocab)
-    dump("valid_chat", dp.build_rkd(first["valid_q"], original_teacher, base_vocab),
-         base_vocab)
-
     stage1, stage2, stage3, direct, valid3 = [], [], [], [], []
     for lang in cfg.languages:
         data = _load_world(cfg, ws, lang)
         spec = data["spec"]
         teacher = wd.TeacherOracle(spec)
+        if lang == cfg.languages[0]:  # source-language chat model data (base vocabulary)
+            dump("original_lm", dp.build_cpt(data["en_mono"], base_vocab), base_vocab)
+            dump("original_chat", dp.build_rkd(data["chat_q"], teacher, base_vocab),
+                 base_vocab)
+            dump("valid_chat", dp.build_rkd(data["valid_q"], teacher, base_vocab),
+                 base_vocab)
         translate = lambda s, sp=spec: wd.oracle_translate(sp, s, "en->x")
 
         stage1 += dp.build_cpt(data["x_mono"], full_vocab)
@@ -628,11 +621,9 @@ def step_evaluate(cfg: RunConfig, ws: Workspace) -> dict:
                 dump = ev.attention_dump(final, prompt, out, full_vocab, language=lang)
             except ev.ParseError:
                 continue  # output not a well-formed chain; try the next query
-            matrix_path = ws.path("report", f"attention_{lang}.npy")
-            with atomic_open(matrix_path, "wb") as f:
-                np.save(f, dump.matrix)
-            sidecar = ws.write_json(f"report/attention_{lang}.json", dump.to_sidecar())
-            outputs += [matrix_path, sidecar]
+            paths = [ws.path("report", f"attention_{lang}.{ext}") for ext in ("npy", "json")]
+            dump.save(*paths)
+            outputs += paths
             attention_summary = dump.x_row_mass
             break
 

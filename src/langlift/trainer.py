@@ -62,6 +62,10 @@ class StageConfig:
             raise TrainerError("warmup_ratio must be in [0, 1)")
         if self.valid_every < 1:
             raise TrainerError("valid_every must be at least 1")
+        if self.batch_size < 1 or self.grad_accum < 1:
+            raise TrainerError("batch_size and grad_accum must be at least 1")
+        if self.max_steps is not None and self.max_steps < 0:
+            raise TrainerError("max_steps must not be negative")
 
 
 @dataclass
@@ -216,7 +220,7 @@ def _step_plan(n_examples: int, config: StageConfig) -> list[list[int]]:
     sequences.
     """
     plan = []
-    per_step = config.batch_size * max(1, config.grad_accum)
+    per_step = config.batch_size * config.grad_accum
     for epoch in range(config.max_epochs):
         order = np.random.default_rng([config.seed, 401, epoch]).permutation(n_examples)
         for start in range(0, n_examples, per_step):

@@ -223,16 +223,22 @@ def test_config_rejects_unknown_fields():
         pl.RunConfig.from_json(json.dumps({"version": 1, "toggles": {"use_lora": True}}))
 
 
+def _one_phase(name, **override):
+    """The shipped stages with one phase's settings overridden."""
+    return {"version": 1, "stages": {
+        phase: {**settings, **(override if phase == name else {})}
+        for phase, settings in pl.default_config().stages.items()}}
+
+
 NESTED_TYPOS = {
     "world": {"version": 1, "world": {"n_wrods": 3}},
-    "stage": {"version": 1, "stages": {
-        phase: {**settings, **({"bogus": 1} if phase == "target-cpt" else {})}
-        for phase, settings in pl.default_config().stages.items()}},
+    "stage": _one_phase("target-cpt", bogus=1),
     "phase": {"version": 1, "stages": {"target-cpt": {"stage": "target-cpt"}}},
     "model": {"version": 1, "model": {**pl.default_config().model, "n_layrs": 2}},
-    "kind": {"version": 1, "stages": {
-        phase: {**settings, **({"stage": "bogus"} if phase == "direct-sft" else {})}
-        for phase, settings in pl.default_config().stages.items()}},
+    "kind": _one_phase("direct-sft", stage="bogus"),
+    "batch_size": _one_phase("target-cpt", batch_size=0),
+    "grad_accum": _one_phase("target-cpt", grad_accum=0),
+    "max_steps": _one_phase("target-cpt", max_steps=-1),
 }
 
 

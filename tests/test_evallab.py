@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -343,6 +344,21 @@ def test_attention_dump_properties(toy):
     assert abs(sum(dump.x_row_mass.values()) - 1.0) < 1e-5
     s, e = dump.segments["a_x"]
     assert e - s == len(v.encode(toy.translate("1 2")))
+
+
+def test_attention_dump_save_round_trips(tmp_path):
+    matrix = np.tril(np.random.default_rng(3).random((4, 4), dtype=np.float32))
+    dump = ev.AttentionDump(matrix=matrix, segments={"q_x": (0, 2), "a_x": (3, 4)},
+                            x_row_mass={"q_x": 0.25, "other": 0.75})
+    matrix_path, sidecar_path = tmp_path / "attention.npy", tmp_path / "attention.json"
+    dump.save(str(matrix_path), str(sidecar_path))
+    loaded = np.load(matrix_path)
+    assert loaded.dtype == matrix.dtype and np.array_equal(loaded, matrix)
+    sidecar = {"segments": {"q_x": [0, 2], "a_x": [3, 4]},
+               "x_row_mass": {"q_x": 0.25, "other": 0.75}}
+    assert sidecar_path.read_text(encoding="utf-8") == json.dumps(sidecar, indent=1,
+                                                                  sort_keys=True)
+    assert sorted(os.listdir(tmp_path)) == ["attention.json", "attention.npy"]
 
 
 def test_attention_dump_requires_chain(toy):

@@ -82,20 +82,20 @@ def test_attention_matches_per_head_composition():
         p = nc.softmax_rows(scores)
         probs.append(p.data)
         heads.append(nc.matmul(p, vh))
-    out, (got,) = nc.attention(q, k, v, n_heads, mask)
+    out, (got,) = nc.attention(q, k, v, n_heads)
     assert np.abs(out.data - nc.concat_cols(heads).data).max() < 1e-12
     assert np.abs(got - np.stack(probs)).max() < 1e-12
     assert np.all(np.triu(got, k=1) == 0.0)
 
 
 def test_attention_rectangular_rows_match_square():
+    # trailing query rows against all the keys, as a key/value cache runs them
     rng = np.random.default_rng(7)
     t, d, n_heads = 6, 8, 2
     q, k, v = (t64(rng.normal(size=(t, d))) for _ in range(3))
-    mask = np.triu(np.full((t, t), -1e9), k=1)
-    square, (square_probs,) = nc.attention(q, k, v, n_heads, mask)
+    square, (square_probs,) = nc.attention(q, k, v, n_heads)
     for start in range(t):
-        out, (probs,) = nc.attention(t64(q.data[start:]), k, v, n_heads, mask[start:])
+        out, (probs,) = nc.attention(t64(q.data[start:]), k, v, n_heads)
         assert out.shape == (t - start, d) and probs.shape == (n_heads, t - start, t)
         assert np.abs(out.data - square.data[start:]).max() < 1e-12
         assert np.abs(probs - square_probs[:, start:]).max() < 1e-12
@@ -105,14 +105,10 @@ def test_attention_rejects_mismatched_shapes():
     rng = np.random.default_rng(8)
     q = t64(rng.normal(size=(2, 4)))
     k, v = (t64(rng.normal(size=(5, 4))) for _ in range(2))
-    # two queries after three past keys need a mask of exactly [2, 5]
-    for mask in (np.zeros((5, 5)), np.zeros((1, 5)), np.zeros((2, 4)), np.zeros((5, 2))):
-        with pytest.raises(nc.ShapeError):
-            nc.attention(q, k, v, 2, mask)
     with pytest.raises(nc.ShapeError):
-        nc.attention(q, k, t64(rng.normal(size=(4, 4))), 2, np.zeros((2, 5)))
+        nc.attention(q, k, t64(rng.normal(size=(4, 4))), 2)
     with pytest.raises(nc.ShapeError):
-        nc.attention(q, t64(rng.normal(size=(5, 6))), v, 2, np.zeros((2, 5)))
+        nc.attention(q, t64(rng.normal(size=(5, 6))), v, 2)
 
 
 def test_frozen_inputs_get_no_gradient_from_fused_primitives():
@@ -123,7 +119,7 @@ def test_frozen_inputs_get_no_gradient_from_fused_primitives():
     up = t64(rng.normal(size=(2, 6)), requires_grad=True)
     with nc.tape():
         y = nc.low_rank_matmul(x, w, down, up, 2.0)
-        out, _ = nc.attention(y, y, y, 2, np.triu(np.full((4, 4), -1e9), k=1))
+        out, _ = nc.attention(y, y, y, 2)
         nc.backward(nc.sum_all(out))
     assert x.grad is not None and up.grad is not None
     assert w.grad is None and down.grad is None
@@ -398,9 +394,8 @@ def _fd_softmax(rng):
 @prim("attention")
 def _fd_attention(rng):
     q, k, v = (t64(rng.normal(size=(4, 6))) for _ in range(3))
-    mask = np.triu(np.full((4, 4), -1e9), k=1)
     c = rng.normal(size=(4, 6))
-    return (lambda: _weighted(nc.attention(q, k, v, 2, mask)[0], c),
+    return (lambda: _weighted(nc.attention(q, k, v, 2)[0], c),
             {"q": q, "k": k, "v": v})
 
 
@@ -409,9 +404,8 @@ def _fd_attention_rectangular(rng):
     # the last two rows of a five-token sequence, against all five keys
     q = t64(rng.normal(size=(2, 6)))
     k, v = (t64(rng.normal(size=(5, 6))) for _ in range(2))
-    mask = np.triu(np.full((5, 5), -1e9), k=1)[3:]
     c = rng.normal(size=(2, 6))
-    return (lambda: _weighted(nc.attention(q, k, v, 2, mask)[0], c),
+    return (lambda: _weighted(nc.attention(q, k, v, 2)[0], c),
             {"q": q, "k": k, "v": v})
 
 
@@ -419,9 +413,8 @@ def _fd_attention_rectangular(rng):
 def _fd_attention_stacked(rng):
     # three sequences laid end to end, each attending only within itself
     q, k, v = (t64(rng.normal(size=(9, 6))) for _ in range(3))
-    mask = np.triu(np.full((4, 4), -1e9), k=1)
     c = rng.normal(size=(9, 6))
-    return (lambda: _weighted(nc.attention(q, k, v, 2, mask, lengths=(4, 2, 3))[0], c),
+    return (lambda: _weighted(nc.attention(q, k, v, 2, lengths=(4, 2, 3))[0], c),
             {"q": q, "k": k, "v": v})
 
 
@@ -502,33 +495,31 @@ def test_attention_stacked_rows_match_separate_sequences():
     rng = np.random.default_rng(21)
     lengths, d, n_heads = (5, 1, 3, 4), 8, 2
     q, k, v = (t64(rng.normal(size=(sum(lengths), d))) for _ in range(3))
-    mask = np.triu(np.full((5, 5), -1e9), k=1)
-    out, probs = nc.attention(q, k, v, n_heads, mask, lengths=lengths)
+    out, probs = nc.attention(q, k, v, n_heads, lengths=lengths)
     assert [p.shape for p in probs] == [(n_heads, n, n) for n in lengths]
     start = 0
     for n, p in zip(lengths, probs):
         rows = slice(start, start + n)
         alone, (alone_probs,) = nc.attention(t64(q.data[rows]), t64(k.data[rows]),
-                                             t64(v.data[rows]), n_heads, mask[:n, :n])
+                                             t64(v.data[rows]), n_heads)
         assert np.abs(out.data[rows] - alone.data).max() < 1e-12
         assert np.abs(p - alone_probs).max() < 1e-12
+        assert np.all(np.triu(p, k=1) == 0.0)  # causal within every block
         start += n
 
 
 def test_attention_stacked_rejects_bad_lengths():
     q = t64(np.ones((5, 4)))
     with pytest.raises(nc.ShapeError):  # lengths do not add up to the rows
-        nc.attention(q, q, q, 2, np.zeros((3, 3)), lengths=(2, 2))
+        nc.attention(q, q, q, 2, lengths=(2, 2))
     with pytest.raises(nc.ShapeError):  # an empty layout is not the default one
-        nc.attention(q, q, q, 2, np.zeros((5, 5)), lengths=())
-    with pytest.raises(nc.ShapeError):  # the mask is smaller than a sequence
-        nc.attention(q, q, q, 2, np.zeros((2, 2)), lengths=(2, 3))
+        nc.attention(q, q, q, 2, lengths=())
     k = t64(np.ones((4, 4)))
     with pytest.raises(nc.ShapeError):  # fewer keys than queries, stacked
-        nc.attention(q, k, k, 2, np.zeros((3, 3)), lengths=(2, 3))
+        nc.attention(q, k, k, 2, lengths=(2, 3))
     k = t64(np.ones((7, 4)))
     with pytest.raises(nc.ShapeError):  # past keys belong to one sequence only
-        nc.attention(q, k, k, 2, np.zeros((5, 7)), lengths=(2, 3))
+        nc.attention(q, k, k, 2, lengths=(2, 3))
 
 
 def test_cross_entropy_weights_are_a_weighted_sum():
