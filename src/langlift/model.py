@@ -222,21 +222,27 @@ def lora_apply(h: nc.Tensor, w: nc.Tensor, adapter: LoraAdapter | None,
 def _dropout_keeps(config: ModelConfig, adapters, lengths, rng,
                    dtype) -> dict[tuple[int, str], np.ndarray]:
     """Every adapter branch's dropout multiplier for sequences of these
-    lengths laid end to end, keyed by (layer, target). Drawn sequence by
-    sequence, and within one by layer and target in the order forward
-    applies them, so a stacked forward draws exactly what separate
-    forwards over its sequences would."""
+    lengths laid end to end, keyed by (layer, target). One draw, sliced
+    sequence by sequence, and within one by layer and target in the
+    order forward applies them: a generator yields the same numbers
+    however the draws are split, so a stacked forward draws exactly what
+    separate forwards over its sequences would."""
     if rng is None:
         raise ModelError("training-mode dropout needs a generator")
     widths = {target: shape[0] for target, shape in _layer_shapes(config).items()}
-    parts: dict[tuple[int, str], list[np.ndarray]] = {}
+    keys = [(li, target) for li, per_layer in enumerate(adapters)
+            for target in ALL_TARGETS if target in per_layer]
+    row = sum(widths[target] for _, target in keys)
+    kept = rng.random(sum(lengths) * row) >= config.lora_dropout
+    parts: dict[tuple[int, str], list[np.ndarray]] = {key: [] for key in keys}
+    at = 0
     for n in lengths:
-        for li, per_layer in enumerate(adapters):
-            for target in ALL_TARGETS:
-                if target in per_layer:
-                    parts.setdefault((li, target), []).append(
-                        nc.dropout_keep((n, widths[target]), config.lora_dropout, rng, dtype))
-    return {key: np.concatenate(p) for key, p in parts.items()}
+        for key in keys:
+            size = n * widths[key[1]]
+            parts[key].append(kept[at:at + size].reshape(n, -1))
+            at += size
+    return {key: nc.dropout_keep(np.concatenate(p), config.lora_dropout, dtype)
+            for key, p in parts.items()}
 
 
 def merge_adapters(weights: TransformerWeights, adapters) -> TransformerWeights:

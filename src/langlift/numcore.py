@@ -476,9 +476,10 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     return _maybe_record(out, tuple(parts), grad_fn)
 
 
-def dropout_keep(shape, p: float, rng: np.random.Generator, dtype) -> np.ndarray:
-    """Inverted-dropout multiplier: 0 with probability p, else 1 / (1 - p)."""
-    return (rng.random(shape) >= p).astype(dtype) / np.dtype(dtype).type(1.0 - p)
+def dropout_keep(kept: np.ndarray, p: float, dtype) -> np.ndarray:
+    """Inverted-dropout multiplier of a mask drawn as `rng.random(shape) >= p`:
+    0 where dropped, else 1 / (1 - p)."""
+    return kept.astype(dtype) / np.dtype(dtype).type(1.0 - p)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
@@ -487,7 +488,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
         raise ValueError(f"dropout probability must be in [0,1), got {p}")
     if p == 0.0:
         return x
-    keep = dropout_keep(x.shape, p, rng, x.dtype)
+    keep = dropout_keep(rng.random(x.shape) >= p, p, x.dtype)
     out = Tensor(x.data * keep)
 
     def grad_fn(g):

@@ -5,12 +5,21 @@ of each line (whitespace is an ordinary symbol, so merges may span word
 boundaries and decode is exact concatenation). Reserved tokens such as
 ⟨EOS⟩ are never produced by merges and never parsed out of raw text;
 they are inserted programmatically by id.
+
+Both BPE loops are defined pass by pass: learning merges the most
+frequent pair everywhere, then counts again; encoding merges the
+lowest-ranked pair everywhere, then looks again. Both run on a linked
+list of symbols and touch only the places a merge changes, so their cost
+follows the merges made rather than the text length times the passes,
+with outputs identical to the per-pass definition.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -64,6 +73,7 @@ class Vocabulary:
             raise TokenizerError("duplicate token surfaces in vocabulary")
         self._rank = {pair: i for i, pair in enumerate(self.merges)}
         self._cache: dict[str, tuple[int, ...]] = {}
+        self._hash: str | None = None
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -101,30 +111,51 @@ class Vocabulary:
         return list(cached)
 
     def _bpe(self, text: str) -> list[int]:
-        symbols = list(text)
+        """Apply the merge rules to one text.
+
+        By definition each pass finds the lowest-ranked adjacent pair and
+        merges its occurrences left to right, until no pair has a rank.
+        Here a min-heap holds (rank, left position) for every pair of a
+        linked list of symbols. A pass pops every entry of the lowest
+        rank in position order, skips those whose pair has since changed,
+        and pushes the pairs it creates only when it ends: a created pair
+        may rank below the pass's own, and the definition merges it in
+        the next pass, not within this one.
+        """
+        symbols: list = list(text)
         for ch in symbols:
             if ch not in self.token_to_id:
                 raise EncodingError(f"symbol {ch!r} is not in the base alphabet")
-        while len(symbols) > 1:
-            best_rank = None
-            for pair in zip(symbols, symbols[1:]):
-                r = self._rank.get(pair)
-                if r is not None and (best_rank is None or r < best_rank):
-                    best_rank = r
-            if best_rank is None:
-                break
-            a, b = self.merges[best_rank]
-            merged = []
-            i = 0
-            while i < len(symbols):
-                if i + 1 < len(symbols) and symbols[i] == a and symbols[i + 1] == b:
-                    merged.append(a + b)
-                    i += 2
-                else:
-                    merged.append(symbols[i])
-                    i += 1
-            symbols = merged
-        return [self.token_to_id[s] for s in symbols]
+        rank = self._rank
+        n = len(symbols)
+        nxt = list(range(1, n + 1))
+        nxt[-1] = -1
+        prv = list(range(-1, n - 1))
+        heap = [(rank[pair], i) for i, pair in enumerate(zip(symbols, symbols[1:]))
+                if pair in rank]
+        heapq.heapify(heap)
+        while heap:
+            r = heap[0][0]
+            a, b = self.merges[r]
+            changed = set()
+            while heap and heap[0][0] == r:
+                i = heapq.heappop(heap)[1]
+                j = nxt[i]
+                if j < 0 or symbols[i] != a or symbols[j] != b:
+                    continue
+                symbols[i], symbols[j] = a + b, None
+                k = nxt[j]
+                nxt[i] = k
+                if k >= 0:
+                    prv[k] = i
+                    changed.add(i)
+                if prv[i] >= 0:
+                    changed.add(prv[i])
+            for i in changed:
+                created = rank.get((symbols[i], symbols[nxt[i]]))
+                if created is not None:
+                    heapq.heappush(heap, (created, i))
+        return [self.token_to_id[s] for s in symbols if s is not None]
 
     def decode(self, ids) -> str:
         out = []
@@ -184,7 +215,11 @@ class Vocabulary:
 
 
 def vocab_hash(vocab: Vocabulary) -> str:
-    return hashlib.sha256(vocab.dumps().encode("utf-8")).hexdigest()[:16]
+    """Content hash of the vocabulary file, computed once per vocabulary
+    (a vocabulary is not changed after it is made)."""
+    if vocab._hash is None:
+        vocab._hash = hashlib.sha256(vocab.dumps().encode("utf-8")).hexdigest()[:16]
+    return vocab._hash
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +234,16 @@ def learn_vocab(corpus: list[str], target_size: int, alphabet=None) -> Vocabular
     `alphabet`). Each round merges the most frequent adjacent pair;
     frequency ties break to the lexicographically smallest pair, so the
     result is a pure function of (corpus, target_size, alphabet).
+
+    By definition a round rewrites every line left to right and counts
+    every pair again. Here the corpus is one symbol list with next/prev
+    links (-1 at line ends); the pair counts are kept exact, and each
+    pair keeps an append-only array of the left positions where it has
+    occurred. A round visits only the best pair's positions, in order,
+    skips those that no longer hold the pair, and moves the counts of the
+    neighbouring pairs, (prev, a) to (prev, ab) and (b, next) to
+    (ab, next). The rewritten symbols and the counts equal the per-round
+    definition's after every round, so the merges do too.
     """
     if not corpus:
         raise TokenizerError("cannot learn a vocabulary from an empty corpus")
@@ -220,14 +265,37 @@ def learn_vocab(corpus: list[str], target_size: int, alphabet=None) -> Vocabular
     seen = set(tokens)
     merges: list[tuple[str, str]] = []
 
-    lines = [list(line) for line in corpus if line]
+    symbols: list = []
+    nxt, prv = array("i"), array("i")
+    for line in corpus:
+        if line:
+            start = len(symbols)
+            symbols.extend(line)
+            prv.append(-1)
+            prv.extend(range(start, len(symbols) - 1))
+            nxt.extend(range(start + 1, len(symbols)))
+            nxt.append(-1)
     counts: Counter = Counter()
-    for line in lines:
-        counts.update(zip(line, line[1:]))
-    holders: dict[tuple[str, str], set[int]] = {}
-    for idx, line in enumerate(lines):
-        for pair in zip(line, line[1:]):
-            holders.setdefault(pair, set()).add(idx)
+    where: dict[tuple[str, str], array] = {}
+
+    def add(pair, i):
+        counts[pair] += 1
+        if pair in where:
+            where[pair].append(i)
+        else:
+            where[pair] = array("i", (i,))
+
+    def remove(pair):
+        n = counts[pair] - 1
+        if n:
+            counts[pair] = n
+        else:  # no position holds the pair any more
+            del counts[pair]
+            del where[pair]
+
+    for i, j in enumerate(nxt):
+        if j >= 0:
+            add((symbols[i], symbols[j]), i)
 
     while len(tokens) < target_size:
         best = None
@@ -244,31 +312,21 @@ def learn_vocab(corpus: list[str], target_size: int, alphabet=None) -> Vocabular
             tokens.append(new_tok)
             seen.add(new_tok)
 
-        for idx in list(holders.get(best, ())):
-            line = lines[idx]
-            # subtract the line's old pairs, rewrite, add the new ones
-            for pair in zip(line, line[1:]):
-                counts[pair] -= 1
-                if counts[pair] == 0:
-                    del counts[pair]
-                hs = holders.get(pair)
-                if hs is not None:
-                    hs.discard(idx)
-                    if not hs:
-                        del holders[pair]
-            rewritten = []
-            i = 0
-            while i < len(line):
-                if i + 1 < len(line) and line[i] == a and line[i + 1] == b:
-                    rewritten.append(new_tok)
-                    i += 2
-                else:
-                    rewritten.append(line[i])
-                    i += 1
-            lines[idx] = rewritten
-            for pair in zip(rewritten, rewritten[1:]):
-                counts[pair] += 1
-                holders.setdefault(pair, set()).add(idx)
+        for i in sorted(set(where[best])):
+            j = nxt[i]
+            if j < 0 or symbols[i] != a or symbols[j] != b:
+                continue
+            p, k = prv[i], nxt[j]
+            if p >= 0:
+                remove((symbols[p], a))
+                add((symbols[p], new_tok), p)
+            if k >= 0:
+                remove((b, symbols[k]))
+                add((new_tok, symbols[k]), i)
+                prv[k] = i
+            remove(best)
+            symbols[i], symbols[j] = new_tok, None
+            nxt[i] = k
 
     return Vocabulary(tokens, merges, {})
 

@@ -13,8 +13,15 @@ from dataclasses import dataclass  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Property tests draw the same examples in every process and on every
+# machine: the seed comes from each test's own name, not from the clock
+# or an example database.
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 from langlift import tokenizer as tok
 from langlift import world as wd
