@@ -115,21 +115,23 @@ def _layer_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
             "w_up": (d, ff), "w_down": (ff, d)}
 
 
+def _outer_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of every tensor outside the blocks, in the order
+    init_weights draws them."""
+    d, v = config.d_model, config.vocab_size
+    return {"embed": (v, d), "pos": (config.max_seq_len, d), "lnf_g": (d,), "lnf_b": (d,),
+            "head": (d, v)}
+
+
 def _build_weights(config: ModelConfig, make) -> TransformerWeights:
     """The weights of `config`, each tensor from make(name, shape), made
-    in the order init_weights draws them."""
-    d, v = config.d_model, config.vocab_size
+    in the order init_weights draws them: the blocks, then the rest."""
     shapes = _layer_shapes(config)
     layers = [LayerWeights(**{f: make(f"layers.{i}.{f}", shape) for f, shape in shapes.items()})
               for i in range(config.n_layers)]
-    return TransformerWeights(
-        config=config,
-        embed=make("embed", (v, d)),
-        pos=make("pos", (config.max_seq_len, d)),
-        layers=layers,
-        lnf_g=make("lnf_g", (d,)), lnf_b=make("lnf_b", (d,)),
-        head=make("head", (d, v)),
-    )
+    return TransformerWeights(config=config, layers=layers,
+                              **{name: make(name, shape)
+                                 for name, shape in _outer_shapes(config).items()})
 
 
 def init_weights(config: ModelConfig, seed: int, dtype=np.float32) -> TransformerWeights:
@@ -313,21 +315,17 @@ class ForwardResult:
 
 class KVCache:
     """Every layer's key and value rows for the first `length` positions
-    a cached forward has run, in buffers sized for the longest sequence."""
+    a cached forward has run, in buffers sized for the longest sequence.
+    A cached call runs on plain arrays outside the tape, with the same
+    arithmetic as the numcore primitives; it writes its rows after the
+    first `length` and moves `length` past them once every layer has
+    run."""
 
     def __init__(self, config: ModelConfig, dtype=np.float32):
         shape = (config.n_layers, config.max_seq_len, config.d_model)
         self.k = np.zeros(shape, dtype=dtype)
         self.v = np.zeros(shape, dtype=dtype)
         self.length = 0
-
-    def extend(self, layer: int, k: nc.Tensor, v: nc.Tensor) -> tuple[nc.Tensor, nc.Tensor]:
-        """Store one layer's rows after the first `length`; return all of
-        its rows through them."""
-        stop = self.length + k.shape[0]
-        self.k[layer, self.length:stop] = k.data
-        self.v[layer, self.length:stop] = v.data
-        return nc.Tensor(self.k[layer, :stop]), nc.Tensor(self.v[layer, :stop])
 
 
 def forward(ids, weights: TransformerWeights, adapters=None, training: bool = False,
@@ -351,11 +349,14 @@ def forward(ids, weights: TransformerWeights, adapters=None, training: bool = Fa
     `length` and run at positions length, length + 1, ..., against the
     cached keys and values plus their own (attention maps are [n_heads,
     new, length + new]). The cache's length grows only once every layer
-    has run, so a call that fails leaves it as it was. A fresh cache
-    computes every row as the uncached call does, bit for bit; later
-    calls agree with it to float32 rounding (one-row products sum in
-    another order). A cache cannot be used while a tape records, nor with
-    more than one sequence.
+    has run, so a call that fails leaves it as it was. A cache cannot be
+    used while a tape records, nor with more than one sequence, so a
+    cached call runs on plain arrays outside the tape, through the same
+    array functions as the numcore primitives and so with their
+    arithmetic; it checks every weight and adapter shape once, up front.
+    A fresh cache computes every row as the uncached call does, bit for
+    bit; later calls agree with it to float32 rounding (one-row products
+    sum in another order).
     """
     config = weights.config
     t = len(ids)
@@ -375,11 +376,13 @@ def forward(ids, weights: TransformerWeights, adapters=None, training: bool = Fa
     if cache is not None and nc.active_tape() is not None:
         raise ModelError("a key/value cache cannot be used while a tape records")
 
-    dtype = weights.embed.dtype
-    positions = np.concatenate([np.arange(start, start + n) for n in lengths])
     keeps = {}
     if training and adapters is not None and config.lora_dropout > 0.0:
-        keeps = _dropout_keeps(config, adapters, lengths, rng, dtype)
+        keeps = _dropout_keeps(config, adapters, lengths, rng, weights.embed.dtype)
+    if cache is not None:
+        return _cached_forward(ids, weights, adapters, keeps, cache)
+
+    positions = np.concatenate([np.arange(n) for n in lengths])
     attention: list = []
 
     def proj(rows: nc.Tensor, w: nc.Tensor, layer_idx: int, target: str) -> nc.Tensor:
@@ -393,8 +396,6 @@ def forward(ids, weights: TransformerWeights, adapters=None, training: bool = Fa
         q = proj(x, layer.wq, li, "wq")
         k = proj(x, layer.wk, li, "wk")
         v = proj(x, layer.wv, li, "wv")
-        if cache is not None:
-            k, v = cache.extend(li, k, v)
         ctx, probs = nc.attention(q, k, v, config.n_heads, lengths)
         attention.append(probs)
         h = nc.add(h, proj(ctx, layer.wo, li, "wo"))
@@ -403,12 +404,75 @@ def forward(ids, weights: TransformerWeights, adapters=None, training: bool = Fa
         gate = nc.silu(proj(x, layer.w_gate, li, "w_gate"))
         up = proj(x, layer.w_up, li, "w_up")
         h = nc.add(h, proj(nc.mul(gate, up), layer.w_down, li, "w_down"))
-    if cache is not None:
-        cache.length = start + t
 
     final = nc.layer_norm(h, weights.lnf_g, weights.lnf_b)
     logits = nc.matmul(final, weights.head)
     return ForwardResult(logits=logits, hidden=h, attention=attention)
+
+
+def _check_shapes(weights: TransformerWeights, adapters) -> None:
+    """Raise ShapeError at the first weight or adapter matrix whose shape
+    is not the one its config gives it. Names are formatted only for the
+    error: this runs on every cached call."""
+    config = weights.config
+    r = config.lora_rank
+    shapes = _layer_shapes(config)
+    for name, shape in _outer_shapes(config).items():
+        if getattr(weights, name).data.shape != shape:
+            raise _shape_error(name, getattr(weights, name), shape)
+    for li, layer in enumerate(weights.layers):
+        for f, shape in shapes.items():
+            if getattr(layer, f).data.shape != shape:
+                raise _shape_error(f"layers.{li}.{f}", getattr(layer, f), shape)
+        for f, a in ({} if adapters is None else adapters[li]).items():
+            d_in, d_out = shapes[f]
+            if a.down.data.shape != (d_in, r):
+                raise _shape_error(f"layers.{li}.lora.{f}.down", a.down, (d_in, r))
+            if a.up.data.shape != (r, d_out):
+                raise _shape_error(f"layers.{li}.lora.{f}.up", a.up, (r, d_out))
+
+
+def _shape_error(name: str, t: nc.Tensor, shape: tuple[int, ...]) -> nc.ShapeError:
+    return nc.ShapeError(f"{name} has shape {t.data.shape}, expected {shape}")
+
+
+def _cached_forward(ids, weights: TransformerWeights, adapters, keeps,
+                    cache: KVCache) -> ForwardResult:
+    """forward's cached call: the same computation on plain arrays, each
+    step through the array function of the numcore primitive it stands
+    for."""
+    config = weights.config
+    _check_shapes(weights, adapters)
+    idx = nc._token_rows(ids, config.vocab_size)
+    start, stop = cache.length, cache.length + len(idx)
+
+    def proj(x: np.ndarray, li: int, target: str) -> np.ndarray:
+        w = getattr(weights.layers[li], target).data
+        adapter = None if adapters is None else adapters[li].get(target)
+        if adapter is None:
+            return x @ w
+        return nc._low_rank_matmul(x, w, adapter.down.data, adapter.up.data,
+                                   x.dtype.type(adapter.scale), keeps.get((li, target)))[0]
+
+    attention: list = []
+    h = weights.embed.data[idx] + weights.pos.data[start:stop]
+    for li, layer in enumerate(weights.layers):
+        x = nc._layer_norm(h, layer.ln1_g.data, layer.ln1_b.data)[0]
+        cache.k[li, start:stop] = proj(x, li, "wk")
+        cache.v[li, start:stop] = proj(x, li, "wv")
+        ctx, probs = nc._attention(proj(x, li, "wq"), cache.k[li, :stop], cache.v[li, :stop],
+                                   config.n_heads, (len(idx),))
+        attention.append(probs)
+        h = h + proj(ctx, li, "wo")
+
+        x = nc._layer_norm(h, layer.ln2_g.data, layer.ln2_b.data)[0]
+        gate = nc._silu(proj(x, li, "w_gate"))[0]
+        h = h + proj(gate * proj(x, li, "w_up"), li, "w_down")
+    cache.length = stop
+
+    final = nc._layer_norm(h, weights.lnf_g.data, weights.lnf_b.data)[0]
+    return ForwardResult(logits=nc.Tensor(final @ weights.head.data), hidden=nc.Tensor(h),
+                         attention=attention)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,12 @@ attention (all heads of all the sequences laid end to end in its rows,
 at once), each take one tape entry where their compositions take many.
 Attention is causal by construction: it takes no mask.
 
+The forward arithmetic of layer_norm, low_rank_matmul, silu and
+attention lives in private functions on plain arrays (_layer_norm,
+_low_rank_matmul, _silu, _attention), which the primitives call and
+which model.forward's cached call, run outside any tape, calls too, so
+each formula is written once.
+
 Default dtype is float32. Float64 inputs are preserved as-is, which the
 test suite uses for high-precision finite-difference checks; production
 code never constructs float64 tensors.
@@ -203,6 +209,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _maybe_record(out, (a, b), grad_fn)
 
 
+def _low_rank_matmul(x, w, down, up, s, keep):
+    """low_rank_matmul on arrays: the output, the adapter branch's input
+    and its rank-wide middle."""
+    branch = x if keep is None else x * keep
+    mid = branch @ down
+    return x @ w + (mid @ up) * s, branch, mid
+
+
 def low_rank_matmul(x: Tensor, w: Tensor, down: Tensor, up: Tensor, scale: float,
                     keep: np.ndarray | None = None) -> Tensor:
     """x @ w + scale * ((x * keep) @ down) @ up: a projection plus a
@@ -217,9 +231,8 @@ def low_rank_matmul(x: Tensor, w: Tensor, down: Tensor, up: Tensor, scale: float
     if keep is not None and keep.shape != x.shape:
         raise ShapeError(f"keep shape {keep.shape} does not match x {x.shape}")
     s = x.dtype.type(scale)
-    branch = x.data if keep is None else x.data * keep
-    mid = branch @ down.data
-    out = Tensor(x.data @ w.data + (mid @ up.data) * s)
+    y, branch, mid = _low_rank_matmul(x.data, w.data, down.data, up.data, s, keep)
+    out = Tensor(y)
 
     def grad_fn(g):
         gs = g * s
@@ -294,10 +307,16 @@ def relu(x: Tensor) -> Tensor:
     return _maybe_record(out, (x,), grad_fn)
 
 
+def _silu(x):
+    """silu on an array: the output and the sigmoid of x."""
+    sig = 1.0 / (1.0 + np.exp(-x))
+    return x * sig, sig
+
+
 def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x); the gate nonlinearity."""
-    sig = 1.0 / (1.0 + np.exp(-x.data))
-    out = Tensor(x.data * sig)
+    y, sig = _silu(x.data)
+    out = Tensor(y)
 
     def grad_fn(g):
         return (g * sig * (1.0 + x.data * (1.0 - sig)),)
@@ -321,20 +340,28 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _maybe_record(out, (x,), grad_fn)
 
 
+def _layer_norm(x, gain, bias, eps=1e-5):
+    """layer_norm on arrays: the output, the normalized rows and their
+    inverse standard deviations."""
+    inv_n = x.dtype.type(1.0 / x.shape[1])
+    centred = x - x.sum(axis=1, keepdims=True) * inv_n
+    var = (centred * centred).sum(axis=1, keepdims=True) * inv_n
+    inv_std = 1.0 / np.sqrt(var + x.dtype.type(eps))
+    xhat = centred * inv_std
+    return xhat * gain + bias, xhat, inv_std
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row layer normalization with learned gain and bias."""
     if x.data.ndim != 2 or gain.data.ndim != 1 or bias.data.ndim != 1:
         raise ShapeError("layer_norm expects x [m,n], gain [n], bias [n]")
     if x.shape[1] != gain.shape[0] or x.shape[1] != bias.shape[0]:
         raise ShapeError(f"layer_norm width mismatch: {x.shape} vs {gain.shape}/{bias.shape}")
-    inv_n = x.dtype.type(1.0 / x.shape[1])
-    centred = x.data - x.data.sum(axis=1, keepdims=True) * inv_n
-    var = (centred * centred).sum(axis=1, keepdims=True) * inv_n
-    inv_std = 1.0 / np.sqrt(var + x.dtype.type(eps))
-    xhat = centred * inv_std
-    out = Tensor(xhat * gain.data + bias.data)
+    y, xhat, inv_std = _layer_norm(x.data, gain.data, bias.data, eps)
+    out = Tensor(y)
 
     def grad_fn(g):
+        inv_n = x.dtype.type(1.0 / x.shape[1])
         gy = g * gain.data
         m1 = gy.sum(axis=1, keepdims=True) * inv_n
         m2 = (gy * xhat).sum(axis=1, keepdims=True) * inv_n
@@ -358,6 +385,40 @@ def _attention_grads(gh, qh, kh, vh, probs, s):
     gp = gh @ vh.transpose(0, 2, 1)
     gs = probs * (gp - (gp * probs).sum(axis=2, keepdims=True)) * s
     return gs @ kh, gs.transpose(0, 2, 1) @ qh, probs.transpose(0, 2, 1) @ gh
+
+
+def _heads(x, n_heads):
+    """[T, d] -> [n_heads, T, d // n_heads], a view."""
+    return x.reshape(x.shape[0], n_heads, -1).transpose(1, 0, 2)
+
+
+def _spans(lengths, past):
+    """Each sequence's query rows and its key rows (the past ones included)."""
+    lo = 0
+    for n in lengths:
+        yield slice(lo, lo + n), slice(lo, lo + n + past)
+        lo += n
+
+
+def _attention(q, k, v, n_heads, lengths):
+    """attention on arrays whose layout the caller has checked: the head
+    outputs side by side and the probabilities, one array per sequence."""
+    (tq, d), past = q.shape, k.shape[0] - q.shape[0]
+    longest = max(lengths)
+    # a block of n > 1 rows adds mask[:n, :n + past]; a one-row block sees every key
+    if longest > 1:
+        mask = np.triu(np.full((longest, longest + past), _NEG_MASK, q.dtype), k=past + 1)
+    s = q.dtype.type(1.0 / np.sqrt(d // n_heads))
+    qh, kh, vh = _heads(q, n_heads), _heads(k, n_heads), _heads(v, n_heads)
+    ctx = np.empty((tq, d), q.dtype)  # each block's head outputs land in its rows
+    ctx_h = _heads(ctx, n_heads)
+    probs = []
+    for rq, rk in _spans(lengths, past):
+        n = rq.stop - rq.start
+        p = _attention_probs(qh[:, rq], kh[:, rk], mask[:n, :n + past] if n > 1 else 0.0, s)
+        np.matmul(p, vh[:, rk], out=ctx_h[:, rq])
+        probs.append(p)
+    return ctx, probs
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
@@ -387,48 +448,35 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     past = tk - tq
     if sum(lengths) != tq or min(lengths) < 1 or past < 0 or (past and len(lengths) > 1):
         raise ShapeError(f"lengths {list(lengths)} do not lay out {tq} queries and {tk} keys")
-    longest = max(lengths)
-    # a block of n > 1 rows adds mask[:n, :n + past]; a one-row block sees every key
-    if longest > 1:
-        mask = np.triu(np.full((longest, longest + past), _NEG_MASK, q.dtype), k=past + 1)
-    dh = d // n_heads
-    s = q.dtype.type(1.0 / np.sqrt(dh))
-
-    def heads(x):  # [T, d] -> [H, T, dh], a view
-        return x.reshape(x.shape[0], n_heads, dh).transpose(1, 0, 2)
-
-    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
-    ctx = np.empty((tq, d), q.dtype)  # each block's head outputs land in its rows
-    ctx_h = heads(ctx)
-    probs, spans, lo = [], [], 0
-    for n in lengths:
-        # the sequence's query rows, and its key rows (the past ones included)
-        rq, rk = slice(lo, lo + n), slice(lo, lo + n + past)
-        p = _attention_probs(qh[:, rq], kh[:, rk], mask[:n, :n + past] if n > 1 else 0.0, s)
-        np.matmul(p, vh[:, rk], out=ctx_h[:, rq])
-        probs.append(p)
-        spans.append((rq, rk))
-        lo += n
+    ctx, probs = _attention(q.data, k.data, v.data, n_heads, lengths)
     out = Tensor(ctx)
 
     def grad_fn(g):
-        gh = heads(g)
+        s = q.dtype.type(1.0 / np.sqrt(d // n_heads))
+        qh, kh, vh, gh = (_heads(x, n_heads) for x in (q.data, k.data, v.data, g))
         gq, gk, gv = (np.empty((n, d), g.dtype) for n in (tq, tk, tk))
-        for p, (rq, rk) in zip(probs, spans):
-            heads(gq)[:, rq], heads(gk)[:, rk], heads(gv)[:, rk] = _attention_grads(
+        gqh, gkh, gvh = _heads(gq, n_heads), _heads(gk, n_heads), _heads(gv, n_heads)
+        for p, (rq, rk) in zip(probs, _spans(lengths, past)):
+            gqh[:, rq], gkh[:, rk], gvh[:, rk] = _attention_grads(
                 gh[:, rq], qh[:, rq], kh[:, rk], vh[:, rk], p, s)
         return gq, gk, gv
 
     return _maybe_record(out, (q, k, v), grad_fn), probs
 
 
-def embedding(table: Tensor, ids) -> Tensor:
-    """Gather rows of table [V,d] at integer ids -> [len(ids), d]."""
+def _token_rows(ids, n_rows: int) -> np.ndarray:
+    """ids as a flat int64 index into a table of n_rows rows."""
     idx = np.asarray(ids, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError("embedding ids must be a flat sequence")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise IndexError(f"token id out of range 0..{table.shape[0] - 1}")
+    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
+        raise IndexError(f"token id out of range 0..{n_rows - 1}")
+    return idx
+
+
+def embedding(table: Tensor, ids) -> Tensor:
+    """Gather rows of table [V,d] at integer ids -> [len(ids), d]."""
+    idx = _token_rows(ids, table.shape[0])
     out = Tensor(table.data[idx])
 
     def grad_fn(g):

@@ -129,7 +129,13 @@ class RunConfig:
                 StageConfig(**settings)
             except (TypeError, TrainerError) as e:
                 raise PipelineError(f"stages[{phase!r}]: {e}") from e
-        return cls(**doc)
+        cfg = cls(**doc)
+        max_len = ModelConfig(vocab_size=1, **cfg.model).max_seq_len
+        _check_range("eval_max_new", cfg.eval_max_new, 1, float("inf"), int)
+        _check_range("cpt_window", cfg.cpt_window, 2, max_len, int)
+        _check_range("sft_max_len", cfg.sft_max_len, 2, max_len, int)
+        _check_range("translation_fraction", cfg.translation_fraction, 0, 1, (int, float))
+        return cfg
 
     def stage_config(self, phase: str) -> StageConfig:
         args = dict(self.stages[phase])
@@ -144,6 +150,12 @@ def _check_fields(what: str, doc: dict, known) -> None:
     unknown = set(doc) - set(known)
     if unknown:
         raise PipelineError(f"unknown {what}: {sorted(unknown)}")
+
+
+def _check_range(name: str, value, lo, hi, kind) -> None:
+    """Raise PipelineError unless value is of type kind and in [lo, hi]."""
+    if isinstance(value, bool) or not isinstance(value, kind) or not lo <= value <= hi:
+        raise PipelineError(f"{name} must be in [{lo}, {hi}], got {value!r}")
 
 
 def default_config() -> RunConfig:
@@ -207,8 +219,10 @@ class Workspace:
             raise PipelineError(
                 f"{lock_path} exists: another pipeline run owns this workdir") from None
         try:
-            os.write(fd, str(os.getpid()).encode())
-            os.close(fd)
+            try:
+                os.write(fd, str(os.getpid()).encode())
+            finally:
+                os.close(fd)
             yield
         finally:
             os.unlink(lock_path)

@@ -239,6 +239,10 @@ NESTED_TYPOS = {
     "batch_size": _one_phase("target-cpt", batch_size=0),
     "grad_accum": _one_phase("target-cpt", grad_accum=0),
     "max_steps": _one_phase("target-cpt", max_steps=-1),
+    "eval_max_new": {"version": 1, "eval_max_new": 0},
+    "cpt_window": {"version": 1, "cpt_window": 0},
+    "sft_max_len": {"version": 1, "sft_max_len": 10000},
+    "translation_fraction": {"version": 1, "translation_fraction": 3.0},
 }
 
 

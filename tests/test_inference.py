@@ -131,6 +131,11 @@ def test_greedy_prefix_stable():
     assert long[:len(short)] == short
 
 
+def test_greedy_rejects_max_new_below_one():
+    with pytest.raises(inf.InferenceError):
+        inf.greedy_decode(rigged_bundle(), [0], max_new=0)
+
+
 def test_greedy_context_overflow():
     config = md.ModelConfig(vocab_size=17, n_layers=1, d_model=8, n_heads=2, d_ff=16,
                             max_seq_len=8, lora_rank=1, lora_alpha=1.0, lora_dropout=0.0)

@@ -152,7 +152,7 @@ def test_cache_overflow_leaves_it_unchanged(adapted, monkeypatch):
     assert cache.length == 3
 
     # a call that fails in its last layer does not count its rows either
-    attention = nc.attention
+    attention = nc._attention
     calls = []
 
     def failing_attention(*args):
@@ -161,10 +161,10 @@ def test_cache_overflow_leaves_it_unchanged(adapted, monkeypatch):
             raise RuntimeError("attention failed")
         return attention(*args)
 
-    monkeypatch.setattr(nc, "attention", failing_attention)
+    monkeypatch.setattr(nc, "_attention", failing_attention)
     with pytest.raises(RuntimeError):
         md.forward([5, 6], weights, adapters, cache=cache)
-    monkeypatch.setattr(nc, "attention", attention)
+    monkeypatch.setattr(nc, "_attention", attention)
     assert cache.length == 3
 
     rest = [4] * (config.max_seq_len - 3)
@@ -172,6 +172,33 @@ def test_cache_overflow_leaves_it_unchanged(adapted, monkeypatch):
     assert cache.length == config.max_seq_len
     full = md.forward([1, 2, 3] + rest, weights, adapters)
     assert np.abs(out.logits.data - full.logits.data[3:]).max() < 1e-5
+
+
+@pytest.mark.parametrize("where", ["weight", "adapter"])
+def test_cached_call_rejects_a_wrong_shape(adapted, where):
+    config, weights, adapters = adapted
+    cache = md.KVCache(config)
+    md.forward([1, 2, 3], weights, adapters, cache=cache)
+    if where == "weight":  # a gain numpy would broadcast
+        weights.layers[-1].ln2_g = nc.Tensor(np.ones(1, np.float32))
+    else:
+        adapters[-1]["w_down"].up = nc.Tensor(
+            np.zeros((config.lora_rank, config.d_model + 1), np.float32))
+    with pytest.raises(nc.ShapeError):
+        md.forward([4], weights, adapters, cache=cache)
+    assert cache.length == 3
+
+
+def test_cached_call_rejects_an_id_outside_the_vocabulary(adapted):
+    config, weights, adapters = adapted
+    cache = md.KVCache(config)
+    md.forward([1, 2, 3], weights, adapters, cache=cache)
+    k, v = cache.k.copy(), cache.v.copy()
+    for ids in ([config.vocab_size], [2, -1]):
+        with pytest.raises(IndexError):
+            md.forward(ids, weights, adapters, cache=cache)
+    assert cache.length == 3
+    assert np.array_equal(cache.k, k) and np.array_equal(cache.v, v)
 
 
 # ---------------------------------------------------------------------------

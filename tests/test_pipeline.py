@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -108,3 +109,26 @@ def test_evaluate_decodes_each_query_once(tmp_path, monkeypatch):
     assert n_pairs >= 2
     assert len(second_turns) == n_pairs
     assert report["per_language"]["X"]["accuracy"]["final"]["accuracy"] == 100.0
+
+
+def test_lock_closes_its_file_when_writing_the_pid_fails(tmp_path, monkeypatch):
+    ws = pl.Workspace(str(tmp_path))
+    real_open, opened = os.open, []
+
+    def recording_open(*args, **kw):
+        opened.append(real_open(*args, **kw))
+        return opened[-1]
+
+    def failing_write(fd, data):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(pl.os, "open", recording_open)
+    monkeypatch.setattr(pl.os, "write", failing_write)
+    with pytest.raises(OSError, match="No space left"):
+        with ws.lock():
+            pass
+    monkeypatch.undo()
+    assert len(opened) == 1
+    with pytest.raises(OSError):  # the descriptor is closed
+        os.fstat(opened[0])
+    assert not (tmp_path / "run.lock").exists()
