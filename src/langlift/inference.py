@@ -80,11 +80,9 @@ def greedy_decode(bundle: ModelBundle, prompt_ids: list[int], max_new: int,
 
     Decoding is cached: the first forward runs the prompt, and each
     later one runs only the newest token against the stored keys and
-    values, so every token passes through the model once. A cached
-    forward runs on plain arrays outside the tape, with the same
-    arithmetic as the numcore primitives. The first generated token is
-    bit-identical to an uncached forward over the prompt; later logits
-    agree with it to float32 rounding."""
+    values, so every token passes through the model once. The first
+    generated token is bit-identical to an uncached forward over the
+    prompt; later logits agree with it to float32 rounding."""
     if max_new < 1:
         raise InferenceError(f"max_new must be at least 1, got {max_new}")
     max_len = bundle.config.max_seq_len

@@ -315,10 +315,9 @@ class ForwardResult:
 
 class KVCache:
     """Every layer's key and value rows for the first `length` positions
-    a cached forward has run, in buffers sized for the longest sequence.
-    A cached call runs on plain arrays outside the tape, with the same
-    arithmetic as the numcore primitives; it writes its rows after the
-    first `length` and moves `length` past them once every layer has
+    a cached forward has run, in buffers sized for the longest sequence
+    of the config it was built for. A cached call writes its rows after
+    the first `length` and moves `length` past them once every layer has
     run."""
 
     def __init__(self, config: ModelConfig, dtype=np.float32):
@@ -345,18 +344,20 @@ def forward(ids, weights: TransformerWeights, adapters=None, training: bool = Fa
     In training mode the adapter branches drop out at
     config.lora_dropout, drawn from rng.
 
+    While a tape records, the call runs the numcore primitives. Every
+    other call runs on plain arrays, through the primitives' array
+    functions and so with their arithmetic, bit for bit; it checks every
+    weight, adapter and cache shape once, up front.
+
     A cache holds one sequence: ids are the tokens that follow its
     `length` and run at positions length, length + 1, ..., against the
     cached keys and values plus their own (attention maps are [n_heads,
     new, length + new]). The cache's length grows only once every layer
     has run, so a call that fails leaves it as it was. A cache cannot be
-    used while a tape records, nor with more than one sequence, so a
-    cached call runs on plain arrays outside the tape, through the same
-    array functions as the numcore primitives and so with their
-    arithmetic; it checks every weight and adapter shape once, up front.
-    A fresh cache computes every row as the uncached call does, bit for
-    bit; later calls agree with it to float32 rounding (one-row products
-    sum in another order).
+    used while a tape records, nor with more than one sequence. A fresh
+    cache computes every row as the uncached call does, bit for bit;
+    later calls agree with it to float32 rounding (one-row products sum
+    in another order).
     """
     config = weights.config
     t = len(ids)
@@ -373,50 +374,83 @@ def forward(ids, weights: TransformerWeights, adapters=None, training: bool = Fa
     if start + longest > config.max_seq_len:
         raise SequenceLengthError(
             f"sequence length {start + longest} exceeds max_seq_len {config.max_seq_len}")
-    if cache is not None and nc.active_tape() is not None:
-        raise ModelError("a key/value cache cannot be used while a tape records")
-
+    # bound on every call, so a function replaced in numcore is the one that runs
+    if nc.active_tape() is not None:
+        if cache is not None:
+            raise ModelError("a key/value cache cannot be used while a tape records")
+        gather, norm, project, attend = nc.embedding, nc.layer_norm, lora_apply, nc.attention
+        add, mul, silu, result = nc.add, nc.mul, nc.silu, lambda x: x
+    else:
+        _check_shapes(weights, adapters, cache)
+        gather, norm, project, attend = _gather, _norm, _project, nc._attention
+        add, mul, silu, result = np.add, np.multiply, _silu, nc.Tensor
     keeps = {}
     if training and adapters is not None and config.lora_dropout > 0.0:
         keeps = _dropout_keeps(config, adapters, lengths, rng, weights.embed.dtype)
-    if cache is not None:
-        return _cached_forward(ids, weights, adapters, keeps, cache)
 
-    positions = np.concatenate([np.arange(n) for n in lengths])
+    def proj(x, li: int, target: str):
+        adapter = None if adapters is None else adapters[li].get(target)
+        return project(x, getattr(weights.layers[li], target), adapter, keeps.get((li, target)))
+
+    stop = start + t
+    positions = start + np.concatenate([np.arange(n) for n in lengths])
     attention: list = []
-
-    def proj(rows: nc.Tensor, w: nc.Tensor, layer_idx: int, target: str) -> nc.Tensor:
-        adapter = None if adapters is None else adapters[layer_idx].get(target)
-        keep = keeps[layer_idx, target] if keeps and adapter is not None else None
-        return lora_apply(rows, w, adapter, keep)
-
-    h = nc.add(nc.embedding(weights.embed, ids), nc.embedding(weights.pos, positions))
+    h = add(gather(weights.embed, ids), gather(weights.pos, positions))
     for li, layer in enumerate(weights.layers):
-        x = nc.layer_norm(h, layer.ln1_g, layer.ln1_b)
-        q = proj(x, layer.wq, li, "wq")
-        k = proj(x, layer.wk, li, "wk")
-        v = proj(x, layer.wv, li, "wv")
-        ctx, probs = nc.attention(q, k, v, config.n_heads, lengths)
+        x = norm(h, layer.ln1_g, layer.ln1_b)
+        q, k, v = proj(x, li, "wq"), proj(x, li, "wk"), proj(x, li, "wv")
+        if cache is not None:
+            cache.k[li, start:stop], cache.v[li, start:stop] = k, v
+            k, v = cache.k[li, :stop], cache.v[li, :stop]
+        ctx, probs = attend(q, k, v, config.n_heads, lengths)
         attention.append(probs)
-        h = nc.add(h, proj(ctx, layer.wo, li, "wo"))
+        h = add(h, proj(ctx, li, "wo"))
 
-        x = nc.layer_norm(h, layer.ln2_g, layer.ln2_b)
-        gate = nc.silu(proj(x, layer.w_gate, li, "w_gate"))
-        up = proj(x, layer.w_up, li, "w_up")
-        h = nc.add(h, proj(nc.mul(gate, up), layer.w_down, li, "w_down"))
+        x = norm(h, layer.ln2_g, layer.ln2_b)
+        gate = silu(proj(x, li, "w_gate"))
+        h = add(h, proj(mul(gate, proj(x, li, "w_up")), li, "w_down"))
+    if cache is not None:
+        cache.length = stop
 
-    final = nc.layer_norm(h, weights.lnf_g, weights.lnf_b)
-    logits = nc.matmul(final, weights.head)
-    return ForwardResult(logits=logits, hidden=h, attention=attention)
+    logits = project(norm(h, weights.lnf_g, weights.lnf_b), weights.head, None, None)
+    return ForwardResult(logits=result(logits), hidden=result(h), attention=attention)
 
 
-def _check_shapes(weights: TransformerWeights, adapters) -> None:
-    """Raise ShapeError at the first weight or adapter matrix whose shape
-    is not the one its config gives it. Names are formatted only for the
-    error: this runs on every cached call."""
+# embedding, layer_norm, silu and lora_apply on arrays, for forward outside a tape
+
+def _gather(table: nc.Tensor, ids) -> np.ndarray:
+    return table.data[nc._token_rows(ids, len(table.data))]
+
+
+def _norm(x: np.ndarray, gain: nc.Tensor, bias: nc.Tensor) -> np.ndarray:
+    return nc._layer_norm(x, gain.data, bias.data)[0]
+
+
+def _silu(x: np.ndarray) -> np.ndarray:
+    return nc._silu(x)[0]
+
+
+def _project(x: np.ndarray, w: nc.Tensor, adapter: LoraAdapter | None,
+             keep: np.ndarray | None) -> np.ndarray:
+    if adapter is None:
+        return x @ w.data
+    return nc._low_rank_matmul(x, w.data, adapter.down.data, adapter.up.data,
+                               x.dtype.type(adapter.scale), keep)[0]
+
+
+def _check_shapes(weights: TransformerWeights, adapters, cache: KVCache | None) -> None:
+    """Raise ShapeError at the first weight, adapter or cache buffer whose
+    shape is not the one the weights' config gives it. Names are
+    formatted only for the error: this runs on every call outside a
+    tape."""
     config = weights.config
     r = config.lora_rank
     shapes = _layer_shapes(config)
+    if cache is not None:
+        shape = (config.n_layers, config.max_seq_len, config.d_model)
+        for name, buffer in (("k", cache.k), ("v", cache.v)):
+            if buffer.shape != shape:
+                raise nc.ShapeError(f"cache.{name} has shape {buffer.shape}, expected {shape}")
     for name, shape in _outer_shapes(config).items():
         if getattr(weights, name).data.shape != shape:
             raise _shape_error(name, getattr(weights, name), shape)
@@ -434,45 +468,6 @@ def _check_shapes(weights: TransformerWeights, adapters) -> None:
 
 def _shape_error(name: str, t: nc.Tensor, shape: tuple[int, ...]) -> nc.ShapeError:
     return nc.ShapeError(f"{name} has shape {t.data.shape}, expected {shape}")
-
-
-def _cached_forward(ids, weights: TransformerWeights, adapters, keeps,
-                    cache: KVCache) -> ForwardResult:
-    """forward's cached call: the same computation on plain arrays, each
-    step through the array function of the numcore primitive it stands
-    for."""
-    config = weights.config
-    _check_shapes(weights, adapters)
-    idx = nc._token_rows(ids, config.vocab_size)
-    start, stop = cache.length, cache.length + len(idx)
-
-    def proj(x: np.ndarray, li: int, target: str) -> np.ndarray:
-        w = getattr(weights.layers[li], target).data
-        adapter = None if adapters is None else adapters[li].get(target)
-        if adapter is None:
-            return x @ w
-        return nc._low_rank_matmul(x, w, adapter.down.data, adapter.up.data,
-                                   x.dtype.type(adapter.scale), keeps.get((li, target)))[0]
-
-    attention: list = []
-    h = weights.embed.data[idx] + weights.pos.data[start:stop]
-    for li, layer in enumerate(weights.layers):
-        x = nc._layer_norm(h, layer.ln1_g.data, layer.ln1_b.data)[0]
-        cache.k[li, start:stop] = proj(x, li, "wk")
-        cache.v[li, start:stop] = proj(x, li, "wv")
-        ctx, probs = nc._attention(proj(x, li, "wq"), cache.k[li, :stop], cache.v[li, :stop],
-                                   config.n_heads, (len(idx),))
-        attention.append(probs)
-        h = h + proj(ctx, li, "wo")
-
-        x = nc._layer_norm(h, layer.ln2_g.data, layer.ln2_b.data)[0]
-        gate = nc._silu(proj(x, li, "w_gate"))[0]
-        h = h + proj(gate * proj(x, li, "w_up"), li, "w_down")
-    cache.length = stop
-
-    final = nc._layer_norm(h, weights.lnf_g.data, weights.lnf_b.data)[0]
-    return ForwardResult(logits=nc.Tensor(final @ weights.head.data), hidden=nc.Tensor(h),
-                         attention=attention)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ Attention is causal by construction: it takes no mask.
 The forward arithmetic of layer_norm, low_rank_matmul, silu and
 attention lives in private functions on plain arrays (_layer_norm,
 _low_rank_matmul, _silu, _attention), which the primitives call and
-which model.forward's cached call, run outside any tape, calls too, so
-each formula is written once.
+which model.forward calls directly whenever no tape records, so each
+formula is written once.
 
 Default dtype is float32. Float64 inputs are preserved as-is, which the
 test suite uses for high-precision finite-difference checks; production

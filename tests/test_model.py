@@ -109,15 +109,42 @@ def cached_rows(ids, chunks, weights, adapters):
     return np.concatenate(logits), np.concatenate(hidden)
 
 
+def assert_results_equal(a, b):
+    assert np.array_equal(a.logits.data, b.logits.data)
+    assert np.array_equal(a.hidden.data, b.hidden.data)
+    assert len(a.attention) == len(b.attention)
+    for per_layer_a, per_layer_b in zip(a.attention, b.attention):
+        assert len(per_layer_a) == len(per_layer_b)
+        for pa, pb in zip(per_layer_a, per_layer_b):
+            assert np.array_equal(pa, pb)
+
+
 def test_cache_first_call_bit_identical(adapted):
+    """A call under a tape (the primitives), one outside it (their array
+    functions) and a fresh cache's first call give the same bits."""
     config, weights, adapters = adapted
+    md.set_trainable(md.ModelBundle(config=config, weights=weights, adapters=adapters), "lora")
     rng = np.random.default_rng(13)
     for t in (1, 2, 7, config.max_seq_len):
         ids = rand_ids(config, rng, t=t)
         full = md.forward(ids, weights, adapters)
-        first = md.forward(ids, weights, adapters, cache=md.KVCache(config))
-        assert np.array_equal(first.logits.data, full.logits.data)
-        assert np.array_equal(first.hidden.data, full.hidden.data)
+        with nc.tape() as tape:
+            taped = md.forward(ids, weights, adapters)
+        assert len(tape) > 0
+        assert_results_equal(taped, full)
+        assert_results_equal(md.forward(ids, weights, adapters, cache=md.KVCache(config)), full)
+
+    # training mode: the same generator seed draws the same dropout either way
+    w = replace(weights, config=replace(config, lora_dropout=0.3))
+    ids = rand_ids(config, rng, t=9)
+    untaped = md.forward(ids, w, adapters, training=True, rng=np.random.default_rng(19))
+    with nc.tape():
+        taped = md.forward(ids, w, adapters, training=True, rng=np.random.default_rng(19))
+    cached = md.forward(ids, w, adapters, training=True, rng=np.random.default_rng(19),
+                        cache=md.KVCache(config))
+    assert_results_equal(taped, untaped)
+    assert_results_equal(cached, untaped)
+    assert not np.array_equal(untaped.logits.data, md.forward(ids, w, adapters).logits.data)
 
 
 @pytest.mark.parametrize("chunks", [
@@ -174,10 +201,17 @@ def test_cache_overflow_leaves_it_unchanged(adapted, monkeypatch):
     assert np.abs(out.logits.data - full.logits.data[3:]).max() < 1e-5
 
 
-@pytest.mark.parametrize("where", ["weight", "adapter"])
-def test_cached_call_rejects_a_wrong_shape(adapted, where):
+@pytest.mark.parametrize("where, cached", [
+    pytest.param("weight", True, id="weight"),
+    pytest.param("adapter", True, id="adapter"),
+    pytest.param("weight", False, id="weight-uncached"),
+    pytest.param("adapter", False, id="adapter-uncached"),
+])
+def test_cached_call_rejects_a_wrong_shape(adapted, where, cached):
+    """A call outside a tape runs no primitive, so its shape check up
+    front is all that stands between a wrong shape and numpy."""
     config, weights, adapters = adapted
-    cache = md.KVCache(config)
+    cache = md.KVCache(config) if cached else None
     md.forward([1, 2, 3], weights, adapters, cache=cache)
     if where == "weight":  # a gain numpy would broadcast
         weights.layers[-1].ln2_g = nc.Tensor(np.ones(1, np.float32))
@@ -186,7 +220,40 @@ def test_cached_call_rejects_a_wrong_shape(adapted, where):
             np.zeros((config.lora_rank, config.d_model + 1), np.float32))
     with pytest.raises(nc.ShapeError):
         md.forward([4], weights, adapters, cache=cache)
-    assert cache.length == 3
+    if cached:
+        assert cache.length == 3
+
+
+@pytest.mark.parametrize("field, value", [("d_model", 8), ("n_layers", 1), ("max_seq_len", 4)])
+def test_cache_built_for_another_config_rejected(adapted, field, value):
+    config, weights, adapters = adapted
+    cache = md.KVCache(replace(config, **{field: value}))
+    k, v = cache.k.copy(), cache.v.copy()
+    with pytest.raises(nc.ShapeError):
+        md.forward([1, 2, 3, 4, 5], weights, adapters, cache=cache)
+    assert cache.length == 0
+    assert np.array_equal(cache.k, k) and np.array_equal(cache.v, v)
+
+
+def test_untaped_calls_run_no_primitive(adapted, monkeypatch):
+    config, weights, adapters = adapted
+    ids = rand_ids(config, np.random.default_rng(20), t=6)
+    expected = md.forward(ids, weights, adapters)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a primitive ran outside a tape")
+
+    for module, name in [(nc, "layer_norm"), (md, "lora_apply"), (nc, "attention"),
+                         (nc, "add"), (nc, "mul"), (nc, "silu"), (nc, "embedding"),
+                         (nc, "matmul")]:
+        monkeypatch.setattr(module, name, refuse)
+    assert_results_equal(md.forward(ids, weights, adapters), expected)
+    cache = md.KVCache(config)
+    md.forward(ids[:4], weights, adapters, cache=cache)
+    md.forward(ids[4:], weights, adapters, cache=cache)
+    assert cache.length == len(ids)
+    with nc.tape(), pytest.raises(AssertionError):
+        md.forward(ids, weights, adapters)
 
 
 def test_cached_call_rejects_an_id_outside_the_vocabulary(adapted):
