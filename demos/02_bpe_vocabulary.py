@@ -22,7 +22,7 @@ print("decode back ->", repr(vocab.decode(ids)))
 # %% extension: existing ids stay put, new tokens and specials append
 base = tok.merge_vocab(vocab, tok.Vocabulary([], []), [tok.EOS, tok.PAD, tok.RESPONSE])
 target = tok.learn_vocab(["KOTU MA", "MA KOTU"], target_size=12)
-full = tok.merge_vocab(base, target, [tok.EN, tok.lang_token("X")])
+full = tok.merge_vocab(base, target, [tok.EN, tok.X])
 print(f"\nbase size {len(base)} -> merged size {len(full)}")
 print("'the cat sat' under both vocabularies:",
       base.encode("the cat sat") == full.encode("the cat sat"))

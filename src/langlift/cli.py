@@ -46,7 +46,7 @@ def _load_config(args) -> pl.RunConfig:
 
 # pipeline steps a command runs unchanged: name -> (step, help)
 STEPS = {
-    "gen-world": (pl.step_gen_world, "generate language specs, corpora, and query sets"),
+    "gen-world": (pl.step_gen_world, "generate the language spec, corpora, and query sets"),
     "learn-vocab": (pl.step_learn_vocab, "learn source and target subword vocabularies"),
     "merge-vocab": (pl.step_merge_vocab, "merge vocabularies and reserve special tokens"),
     "build-data": (pl.step_build_data, "construct all training-data formats"),
@@ -64,7 +64,6 @@ def cmd_train(cfg, ws, args):
 def cmd_infer(cfg, ws, args):
     _, vocab = pl._vocabs(ws)
     bundle = pl._load_ckpt(ws, args.checkpoint, vocab)
-    lang = cfg.languages[0]
     parses = []
     rows_out = []
     for row in wd.load_jsonl(args.input):
@@ -77,7 +76,7 @@ def cmd_infer(cfg, ws, args):
             record["prompt_ids"] = prompt
             record["output_ids"] = out
         try:
-            parse = parse_tcot(out, vocab, language=lang)
+            parse = parse_tcot(out, vocab)
             record["mode"] = parse.mode
             for name in ("q_en", "a_en", "a_x"):
                 ids = getattr(parse, name)
@@ -95,7 +94,7 @@ def cmd_infer(cfg, ws, args):
 
 def cmd_eval_delta(cfg, ws, args):
     _, vocab = pl._vocabs(ws)
-    world = pl._load_world(cfg, ws, cfg.languages[0])
+    world = pl._load_world(ws)
     a, b = (ev.exact_match_eval(pl._load_ckpt(ws, name, vocab), world["valid_q"],
                                 world["spec"], vocab, mode="x", max_new=cfg.eval_max_new)
             for name in (args.checkpoint_a, args.checkpoint_b))
@@ -107,8 +106,7 @@ def cmd_eval_delta(cfg, ws, args):
 
 def cmd_analyze_forgetting(cfg, ws, args):
     _, vocab = pl._vocabs(ws)
-    rkd_valid = dp.load_records(
-        os.path.join(ws.root, "data", f"valid_rkd_{cfg.languages[0]}.jsonl"))
+    rkd_valid = dp.load_records(os.path.join(ws.root, "data", f"valid_rkd_{wd.LANGUAGE}.jsonl"))
     reports = ev.forgetting_probability(
         {args.checkpoint: pl._load_ckpt(ws, args.checkpoint, vocab)},
         pl._load_ckpt(ws, args.reference, vocab), rkd_valid)
@@ -117,23 +115,20 @@ def cmd_analyze_forgetting(cfg, ws, args):
 
 def cmd_analyze_similarity(cfg, ws, args):
     _, vocab = pl._vocabs(ws)
-    lang = cfg.languages[0]
-    tcot_valid = dp.load_records(os.path.join(ws.root, "data", f"valid_tcot_{lang}.jsonl"))
-    report = ev.hidden_similarity(pl._load_ckpt(ws, args.checkpoint, vocab), tcot_valid,
-                                  vocab, language=lang)
+    tcot_valid = dp.load_records(os.path.join(ws.root, "data", f"valid_tcot_{wd.LANGUAGE}.jsonl"))
+    report = ev.hidden_similarity(pl._load_ckpt(ws, args.checkpoint, vocab), tcot_valid, vocab)
     print(json.dumps(report.to_dict(), indent=1, sort_keys=True))
 
 
 def cmd_attention_dump(cfg, ws, args):
     _, vocab = pl._vocabs(ws)
-    lang = cfg.languages[0]
-    world = pl._load_world(cfg, ws, lang)
+    world = pl._load_world(ws)
     bundle = pl._load_ckpt(ws, args.checkpoint, vocab)
     query_x = args.query or wd.oracle_translate(world["spec"], world["valid_q"][0].text,
                                                 "en->x")
     prompt = render_template(ConversationHistory(pending=query_x), vocab)
     out = greedy_decode(bundle, prompt, max_new=cfg.eval_max_new, eos_id=vocab.eos_id)
-    dump = ev.attention_dump(bundle, prompt, out, vocab, language=lang)
+    dump = ev.attention_dump(bundle, prompt, out, vocab)
     sidecar = args.output + ".json"
     dump.save(args.output, sidecar)
     print(f"wrote {args.output} and {sidecar}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import world as wd
 from .inference import ConversationHistory, render_template
-from .tokenizer import EN, RESPONSE, Vocabulary, lang_token
+from .tokenizer import EN, RESPONSE, X, Vocabulary
 from .world import ParallelPair, Query, TeacherOracle
 
 CPT_KINDS = ("cpt", "translation-cpt")
@@ -89,15 +89,14 @@ def build_cpt(sentences: list[str], vocab: Vocabulary) -> list[CptRecord]:
 
 
 def build_translation_cpt(pairs: list[ParallelPair], en_docs: list[str],
-                          vocab: Vocabulary, seed: int,
-                          language: str = "X") -> list[TranslationCptRecord]:
+                          vocab: Vocabulary, seed: int) -> list[TranslationCptRecord]:
     """Two records per pair, one per direction, each preceded by one
     source-language replay document (when any are supplied) with an
     ⟨EOS⟩ separator."""
     if not pairs:
         raise DataError("no parallel pairs to build from")
     eos = vocab.eos_id
-    x_id = vocab.special_id(lang_token(language))
+    x_id = vocab.special_id(X)
     en_id = vocab.special_id(EN)
 
     instances = []
@@ -138,13 +137,12 @@ def build_rkd(queries: list[Query], teacher: TeacherOracle,
     return records
 
 
-def build_tcot(rkd_records: list[RkdRecord], translator, vocab: Vocabulary,
-               language: str = "X") -> list[TcotRecord]:
+def build_tcot(rkd_records: list[RkdRecord], translator, vocab: Vocabulary) -> list[TcotRecord]:
     """Translate each recovery record into the target language and lay
-    out the chain target between the reserved tokens."""
+    out the chain target ⟨EN⟩ q ⟨response⟩ a ⟨X⟩ a′ ⟨EOS⟩."""
     en_id = vocab.special_id(EN)
     resp = vocab.special_id(RESPONSE)
-    x_id = vocab.special_id(lang_token(language))
+    x_id = vocab.special_id(X)
     eos = vocab.eos_id
     records = []
     for r in rkd_records:
@@ -161,15 +159,16 @@ def build_tcot(rkd_records: list[RkdRecord], translator, vocab: Vocabulary,
 
 
 def build_translation_sft(templates: list[str], pairs: list[ParallelPair],
-                          vocab: Vocabulary, language: str = "X") -> list[SftRecord]:
+                          vocab: Vocabulary) -> list[SftRecord]:
     """Instruction-following translation data: every template × pair ×
-    direction. The target opens with the produced language's ID token."""
+    direction. The target opens with the produced language's token, ⟨X⟩
+    or ⟨EN⟩."""
     if not templates or not pairs:
         raise DataError("need at least one template and one pair")
     for t in templates:
         if "{src}" not in t:
             raise TemplateError(f"template {t!r} lacks the {{src}} placeholder")
-    x_id = vocab.special_id(lang_token(language))
+    x_id = vocab.special_id(X)
     en_id = vocab.special_id(EN)
     eos = vocab.eos_id
     records = []

@@ -146,12 +146,12 @@ def agreement_rate(judge_a, judge_b, include_ties: bool = True) -> float:
 # ---------------------------------------------------------------------------
 
 
-def chain_spans(prompt_len: int, output_ids: list[int], vocab: Vocabulary,
-                language: str = "X") -> dict[str, tuple[int, int]]:
+def chain_spans(prompt_len: int, output_ids: list[int],
+                vocab: Vocabulary) -> dict[str, tuple[int, int]]:
     """[start, end) of the query, its translation, the source answer and
     the target answer over prompt + output, where the output is a full
     translation chain; anything else raises ParseError."""
-    parse = parse_tcot(output_ids, vocab, language=language)
+    parse = parse_tcot(output_ids, vocab)
     if parse.mode != "tcot":
         raise ParseError(f"need a full chain output, got mode {parse.mode}")
     q_en = prompt_len + 1                  # after ⟨EN⟩
@@ -234,11 +234,11 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def hidden_similarity(bundle: ModelBundle, tcot_valid: list[TcotRecord],
-                      vocab: Vocabulary, language: str = "X") -> SimilarityReport:
+                      vocab: Vocabulary) -> SimilarityReport:
     """Per-token cosine between the final-block hidden states of the
     model run without its adapters and with them, teacher-forced on
-    reference chain sequences, averaged separately over the
-    source-answer and target-answer segments.
+    reference chain sequences, averaged separately over the source
+    answer (between ⟨response⟩ and ⟨X⟩) and the target answer (after ⟨X⟩).
 
     Adapter training leaves the projections, norms and positional table
     at their pre-transfer values (model.set_trainable), so run without
@@ -253,7 +253,7 @@ def hidden_similarity(bundle: ModelBundle, tcot_valid: list[TcotRecord],
     skipped = 0
     for r in tcot_valid:
         try:
-            spans = chain_spans(len(r.input_ids), r.target_ids, vocab, language)
+            spans = chain_spans(len(r.input_ids), r.target_ids, vocab)
         except ParseError:
             skipped += 1
             continue
@@ -291,11 +291,11 @@ class AttentionDump:
 
 
 def attention_dump(bundle: ModelBundle, prompt_ids: list[int], output_ids: list[int],
-                   vocab: Vocabulary, language: str = "X") -> AttentionDump:
+                   vocab: Vocabulary) -> AttentionDump:
     """Final-layer head-averaged attention over prompt+output with the
     chain segments annotated and the target-answer rows' mass broken
     down by source segment."""
-    segments = chain_spans(len(prompt_ids), output_ids, vocab, language)
+    segments = chain_spans(len(prompt_ids), output_ids, vocab)
     ids = list(prompt_ids) + list(output_ids)
     matrix = forward(ids, bundle.weights, bundle.adapters).attention[-1][0].mean(axis=0)
     rows = matrix[slice(*segments["a_x"])]
@@ -408,7 +408,7 @@ def exact_match_eval(bundle: ModelBundle, queries: list[wd.Query],
         out = greedy_decode(bundle, prompt, max_new=max_new, eos_id=vocab.eos_id)
         outputs.append(out)
         try:
-            parse = parse_tcot(out, vocab, language=spec.language)
+            parse = parse_tcot(out, vocab)
         except ParseError:
             answers.append(None)
             continue

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import KVCache, ModelBundle, SequenceLengthError, forward
-from .tokenizer import EN, EOS, RESPONSE, Vocabulary, lang_token
+from .tokenizer import EN, EOS, RESPONSE, X, Vocabulary
 
 DEFAULT_SYSTEM_PROMPT = "You are a helpful assistant."
 
@@ -108,26 +108,23 @@ class TcotParse:
 
     mode "tcot": reserved tokens appeared in the order ⟨EN⟩, ⟨response⟩,
     ⟨X⟩ and all three text fields are present. mode "en-direct": output
-    began with ⟨response⟩. mode "translation": a single language token
-    followed by text.
+    began with ⟨response⟩. mode "translation": ⟨EN⟩ or ⟨X⟩ alone, then
+    text (a_en or a_x).
     """
 
     mode: str
     q_en: list[int] | None = None
     a_en: list[int] | None = None
     a_x: list[int] | None = None
-    language: str | None = None
 
 
-def parse_tcot(output_ids: list[int], vocab: Vocabulary,
-               language: str = "X") -> TcotParse:
-    """Split an output on its reserved tokens; malformed order is an
-    error carrying the offending positions, never silently repaired.
-    Reserved tokens the vocabulary does not define simply never occur
-    (a pre-transfer vocabulary has no language-ID tokens)."""
-    x_tok = lang_token(language)
-    wanted = {vocab.specials[s]: s for s in (EN, RESPONSE, x_tok)
-              if s in vocab.specials}
+def parse_tcot(output_ids: list[int], vocab: Vocabulary) -> TcotParse:
+    """Split an output on its reserved tokens ⟨EN⟩, ⟨response⟩ and ⟨X⟩;
+    malformed order is an error carrying the offending positions, never
+    silently repaired. Reserved tokens the vocabulary does not define
+    simply never occur (a pre-transfer vocabulary has neither ⟨EN⟩ nor
+    ⟨X⟩)."""
+    wanted = {vocab.specials[s]: s for s in (EN, RESPONSE, X) if s in vocab.specials}
     eos_id = vocab.eos_id
 
     ids = list(output_ids)
@@ -137,7 +134,7 @@ def parse_tcot(output_ids: list[int], vocab: Vocabulary,
     names = [name for _, name in marks]
     positions = [pos for pos, _ in marks]
 
-    if names == [EN, RESPONSE, x_tok]:
+    if names == [EN, RESPONSE, X]:
         if positions[0] != 0:
             raise ParseError("translation chain output must start with ⟨EN⟩", positions)
         return TcotParse(
@@ -145,16 +142,13 @@ def parse_tcot(output_ids: list[int], vocab: Vocabulary,
             q_en=ids[1:positions[1]],
             a_en=ids[positions[1] + 1:positions[2]],
             a_x=ids[positions[2] + 1:],
-            language=language,
         )
     if names == [RESPONSE] and positions[0] == 0:
         return TcotParse(mode="en-direct", a_en=ids[1:])
-    if len(names) == 1 and positions[0] == 0 and names[0] in (EN, x_tok):
+    if len(names) == 1 and positions[0] == 0 and names[0] in (EN, X):
         field_name = "a_en" if names[0] == EN else "a_x"
-        parse = TcotParse(mode="translation", language=names[0].strip("⟨⟩"))
-        setattr(parse, field_name, ids[1:])
-        return parse
-    missing = [t for t in (EN, RESPONSE, x_tok) if t not in names]
+        return TcotParse(mode="translation", **{field_name: ids[1:]})
+    missing = [t for t in (EN, RESPONSE, X) if t not in names]
     if missing:
         raise ParseError(
             f"output is not a recognized format; missing {', '.join(missing)}", positions)

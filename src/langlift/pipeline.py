@@ -37,6 +37,7 @@ from .model import (ModelBundle, ModelConfig, ModelError, SequenceLengthError,
 from .trainer import AblationToggles, StageConfig, TrainerError, train_stage
 
 TOOL_VERSION = "langlift-0.1.0"
+WORLD_DIR = f"world/{wd.LANGUAGE}"
 
 TRANSLATION_PROMPTS = [
     "put this in the other tongue: {src}",
@@ -71,7 +72,7 @@ class WorldSizes:
 class RunConfig:
     version: int = 1
     seed: int = 0
-    languages: list[str] = field(default_factory=lambda: ["X"])
+    languages: list[str] = field(default_factory=lambda: [wd.LANGUAGE])  # the only value allowed
     world: WorldSizes = field(default_factory=WorldSizes)
     model: dict = field(default_factory=lambda: {
         "n_layers": 3, "d_model": 64, "n_heads": 4, "d_ff": 256,
@@ -114,6 +115,8 @@ class RunConfig:
             raise PipelineError("unsupported run config version")
         _check_fields("config fields", doc, cls.__dataclass_fields__)
         world = doc.get("world", {})
+        if not isinstance(world, dict):
+            raise PipelineError(f"world must be an object, got {world!r}")
         _check_fields("world fields", world, WorldSizes.__dataclass_fields__)
         doc["world"] = WorldSizes(**world)
         # the vocabulary size comes from the learned vocabulary
@@ -130,6 +133,12 @@ class RunConfig:
             except (TypeError, TrainerError) as e:
                 raise PipelineError(f"stages[{phase!r}]: {e}") from e
         cfg = cls(**doc)
+        if cfg.languages != [wd.LANGUAGE]:
+            raise PipelineError(f"languages must be {[wd.LANGUAGE]}, got {cfg.languages!r}")
+        _check_range("seed", cfg.seed, 0, float("inf"), int)
+        # build_language_spec draws 8 harmful markers, then 24 lookup keys
+        # from the other content words
+        _check_range("world.n_words", cfg.world.n_words, 32, float("inf"), int)
         max_len = ModelConfig(vocab_size=1, **cfg.model).max_seq_len
         _check_range("eval_max_new", cfg.eval_max_new, 1, float("inf"), int)
         _check_range("cpt_window", cfg.cpt_window, 2, max_len, int)
@@ -244,49 +253,43 @@ class Workspace:
 
 
 def step_gen_world(cfg: RunConfig, ws: Workspace) -> None:
-    outputs = []
-    for i, lang in enumerate(cfg.languages):
-        spec = wd.build_language_spec(seed=cfg.seed + 1000 * i,
-                                      n_words=cfg.world.n_words, language=lang)
-        base = f"world/{lang}"
-        p = ws.path(base, "spec.json")
-        with atomic_open(p) as f:
-            f.write(spec.to_json())
+    spec = wd.build_language_spec(seed=cfg.seed, n_words=cfg.world.n_words)
+    p = ws.path(WORLD_DIR, "spec.json")
+    with atomic_open(p) as f:
+        f.write(spec.to_json())
+    outputs = [p]
+
+    w = cfg.world
+    en_mono = wd.gen_corpus(spec, "mono-en", w.mono_docs, seed=cfg.seed + 1)
+    x_mono = wd.gen_corpus(spec, "mono-x", w.mono_docs, seed=cfg.seed + 2)
+    pairs = wd.gen_corpus(spec, "parallel", w.parallel_pairs, seed=cfg.seed + 3)
+    replay = wd.gen_corpus(spec, "mono-en", w.replay_docs, seed=cfg.seed + 4)
+    n_queries = w.chat_queries + w.transfer_queries + w.valid_queries
+    queries = wd.gen_query_set(spec, n_queries, w.harmful_fraction, seed=cfg.seed + 5)
+    train, valid = wd.split_queries(
+        queries, valid_fraction=w.valid_queries / n_queries, seed=cfg.seed + 6)
+    chat_q = train[:w.chat_queries]
+    transfer_q = train[w.chat_queries:w.chat_queries + w.transfer_queries]
+
+    for name, rows in [
+        ("mono_en.jsonl", wd.corpus_rows("mono-en", en_mono)),
+        ("mono_x.jsonl", wd.corpus_rows("mono-x", x_mono)),
+        ("parallel.jsonl", wd.corpus_rows("parallel", pairs)),
+        ("replay_en.jsonl", wd.corpus_rows("mono-en", replay)),
+        ("queries_chat.jsonl", wd.query_rows(chat_q)),
+        ("queries_transfer.jsonl", wd.query_rows(transfer_q)),
+        ("queries_valid.jsonl", wd.query_rows(valid)),
+    ]:
+        p = ws.path(WORLD_DIR, name)
+        wd.save_jsonl(p, rows)
         outputs.append(p)
-
-        w = cfg.world
-        en_mono = wd.gen_corpus(spec, "mono-en", w.mono_docs, seed=cfg.seed + 1)
-        x_mono = wd.gen_corpus(spec, "mono-x", w.mono_docs, seed=cfg.seed + 2 + i)
-        pairs = wd.gen_corpus(spec, "parallel", w.parallel_pairs, seed=cfg.seed + 3 + i)
-        replay = wd.gen_corpus(spec, "mono-en", w.replay_docs, seed=cfg.seed + 4)
-        n_queries = w.chat_queries + w.transfer_queries + w.valid_queries
-        queries = wd.gen_query_set(spec, n_queries, w.harmful_fraction,
-                                   seed=cfg.seed + 5 + i)
-        train, valid = wd.split_queries(
-            queries, valid_fraction=w.valid_queries / n_queries, seed=cfg.seed + 6)
-        chat_q = train[:w.chat_queries]
-        transfer_q = train[w.chat_queries:w.chat_queries + w.transfer_queries]
-
-        for name, rows in [
-            ("mono_en.jsonl", wd.corpus_rows("mono-en", en_mono)),
-            ("mono_x.jsonl", wd.corpus_rows("mono-x", x_mono)),
-            ("parallel.jsonl", wd.corpus_rows("parallel", pairs)),
-            ("replay_en.jsonl", wd.corpus_rows("mono-en", replay)),
-            ("queries_chat.jsonl", wd.query_rows(chat_q)),
-            ("queries_transfer.jsonl", wd.query_rows(transfer_q)),
-            ("queries_valid.jsonl", wd.query_rows(valid)),
-        ]:
-            p = ws.path(base, name)
-            wd.save_jsonl(p, rows)
-            outputs.append(p)
     ws.append_manifest("gen-world", cfg.hash(), outputs)
 
 
-def _load_world(cfg: RunConfig, ws: Workspace, lang: str):
-    base = f"world/{lang}"
-    with open(os.path.join(ws.root, base, "spec.json"), encoding="utf-8") as f:
+def _load_world(ws: Workspace):
+    with open(os.path.join(ws.root, WORLD_DIR, "spec.json"), encoding="utf-8") as f:
         spec = wd.ToyLanguageSpec.from_json(f.read())
-    load = lambda name: wd.load_jsonl(os.path.join(ws.root, base, name))
+    load = lambda name: wd.load_jsonl(os.path.join(ws.root, WORLD_DIR, name))
     return {
         "spec": spec,
         "en_mono": [r["text"] for r in load("mono_en.jsonl")],
@@ -312,40 +315,32 @@ def _format_lines() -> list[str]:
 
 
 def step_learn_vocab(cfg: RunConfig, ws: Workspace) -> None:
-    outputs = []
-    for lang in cfg.languages:
-        data = _load_world(cfg, ws, lang)
-        if lang == cfg.languages[0]:  # the base vocabulary, from its English text
-            v_en = tok.learn_vocab(data["en_mono"] + _format_lines(), cfg.world.en_vocab,
-                                   alphabet=TEMPLATE_CHARS)
-            base = tok.merge_vocab(v_en, tok.Vocabulary([], []),
-                                   [tok.EOS, tok.PAD, tok.RESPONSE])
-            p = ws.path("vocab", "base.txt")
-            base.save(p)
-            outputs.append(p)
-        v_x = tok.learn_vocab(data["x_mono"], cfg.world.x_vocab)
-        p = ws.path("vocab", f"learned_{lang}.txt")
-        v_x.save(p)
-        outputs.append(p)
+    data = _load_world(ws)
+    v_en = tok.learn_vocab(data["en_mono"] + _format_lines(), cfg.world.en_vocab,
+                           alphabet=TEMPLATE_CHARS)
+    base = tok.merge_vocab(v_en, tok.Vocabulary([], []), [tok.EOS, tok.PAD, tok.RESPONSE])
+    v_x = tok.learn_vocab(data["x_mono"], cfg.world.x_vocab)
+    outputs = [ws.path("vocab", "base.txt"), ws.path("vocab", f"learned_{wd.LANGUAGE}.txt")]
+    base.save(outputs[0])
+    v_x.save(outputs[1])
     ws.append_manifest("learn-vocab", cfg.hash(), outputs)
 
 
 def step_merge_vocab(cfg: RunConfig, ws: Workspace) -> None:
-    base = full = tok.Vocabulary.load(os.path.join(ws.root, "vocab", "base.txt"))
-    for lang in cfg.languages:
-        learned = tok.Vocabulary.load(os.path.join(ws.root, "vocab", f"learned_{lang}.txt"))
-        full = tok.merge_vocab(full, learned, [tok.EN, tok.lang_token(lang)])
+    base = tok.Vocabulary.load(os.path.join(ws.root, "vocab", "base.txt"))
+    learned = tok.Vocabulary.load(os.path.join(ws.root, "vocab", f"learned_{wd.LANGUAGE}.txt"))
+    full = tok.merge_vocab(base, learned, [tok.EN, tok.X])
     p = ws.path("vocab", "full.txt")
     full.save(p)
-    _verify_extension_stability(cfg, ws, base, full)
+    _verify_extension_stability(ws, base, full)
     ws.append_manifest("merge-vocab", cfg.hash(), [p])
 
 
-def _verify_extension_stability(cfg: RunConfig, ws: Workspace, base, full) -> None:
+def _verify_extension_stability(ws: Workspace, base, full) -> None:
     """Source-language text must tokenize identically before and after
     the extension; guaranteed by the disjoint surface alphabets, checked
     here against a sample."""
-    data = _load_world(cfg, ws, cfg.languages[0])
+    data = _load_world(ws)
     sample = data["en_mono"][:50] + [
         render_template_text(ConversationHistory(pending=q.text))
         for q in data["chat_q"][:20]
@@ -373,41 +368,33 @@ def step_build_data(cfg: RunConfig, ws: Workspace) -> None:
                       dp.dataset_manifest(records, cfg.seed, tok.vocab_hash(vocab)))
         outputs.append(p)
 
-    stage1, stage2, stage3, direct, valid3 = [], [], [], [], []
-    for lang in cfg.languages:
-        data = _load_world(cfg, ws, lang)
-        spec = data["spec"]
-        teacher = wd.TeacherOracle(spec)
-        if lang == cfg.languages[0]:  # source-language chat model data (base vocabulary)
-            dump("original_lm", dp.build_cpt(data["en_mono"], base_vocab), base_vocab)
-            dump("original_chat", dp.build_rkd(data["chat_q"], teacher, base_vocab),
-                 base_vocab)
-            dump("valid_chat", dp.build_rkd(data["valid_q"], teacher, base_vocab),
-                 base_vocab)
-        translate = lambda s, sp=spec: wd.oracle_translate(sp, s, "en->x")
+    data = _load_world(ws)
+    spec = data["spec"]
+    teacher = wd.TeacherOracle(spec)
+    translate = lambda s: wd.oracle_translate(spec, s, "en->x")
 
-        stage1 += dp.build_cpt(data["x_mono"], full_vocab)
-        stage2 += dp.build_translation_cpt(data["pairs"], data["replay"], full_vocab,
-                                           seed=cfg.seed, language=lang)
-        rkd = dp.build_rkd(data["transfer_q"], teacher, full_vocab)
-        tcot = dp.build_tcot(rkd, translate, full_vocab, language=lang)
-        trans_sft = dp.build_translation_sft(TRANSLATION_PROMPTS, data["pairs"],
-                                             full_vocab, language=lang)
-        stage3 += dp.mix_finetune(tcot, rkd, trans_sft, seed=cfg.seed,
-                                  translation_fraction=cfg.translation_fraction)
-        direct += dp.build_direct_sft(data["transfer_q"], teacher, translate, full_vocab)
+    # source-language chat model data (base vocabulary)
+    dump("original_lm", dp.build_cpt(data["en_mono"], base_vocab), base_vocab)
+    dump("original_chat", dp.build_rkd(data["chat_q"], teacher, base_vocab), base_vocab)
+    dump("valid_chat", dp.build_rkd(data["valid_q"], teacher, base_vocab), base_vocab)
 
-        rkd_valid = dp.build_rkd(data["valid_q"], teacher, full_vocab)
-        tcot_valid = dp.build_tcot(rkd_valid, translate, full_vocab, language=lang)
-        dump(f"valid_rkd_{lang}", rkd_valid, full_vocab)
-        dump(f"valid_tcot_{lang}", tcot_valid, full_vocab)
-        valid3 += rkd_valid + tcot_valid
+    dump("stage1", dp.build_cpt(data["x_mono"], full_vocab), full_vocab)
+    dump("stage2", dp.build_translation_cpt(data["pairs"], data["replay"], full_vocab,
+                                            seed=cfg.seed), full_vocab)
+    rkd = dp.build_rkd(data["transfer_q"], teacher, full_vocab)
+    tcot = dp.build_tcot(rkd, translate, full_vocab)
+    trans_sft = dp.build_translation_sft(TRANSLATION_PROMPTS, data["pairs"], full_vocab)
+    dump("stage3", dp.mix_finetune(tcot, rkd, trans_sft, seed=cfg.seed,
+                                   translation_fraction=cfg.translation_fraction),
+         full_vocab)
+    dump("ablation_direct",
+         dp.build_direct_sft(data["transfer_q"], teacher, translate, full_vocab), full_vocab)
 
-    dump("stage1", stage1, full_vocab)
-    dump("stage2", stage2, full_vocab)
-    dump("stage3", stage3, full_vocab)
-    dump("ablation_direct", direct, full_vocab)
-    dump("valid_stage3", valid3, full_vocab)
+    rkd_valid = dp.build_rkd(data["valid_q"], teacher, full_vocab)
+    tcot_valid = dp.build_tcot(rkd_valid, translate, full_vocab)
+    dump(f"valid_rkd_{wd.LANGUAGE}", rkd_valid, full_vocab)
+    dump(f"valid_tcot_{wd.LANGUAGE}", tcot_valid, full_vocab)
+    dump("valid_stage3", rkd_valid + tcot_valid, full_vocab)
     ws.append_manifest("build-data", cfg.hash(), outputs)
 
 
@@ -547,8 +534,7 @@ def _verdicts(scores_a, scores_b):
     return out
 
 
-def _multiturn_probe(bundle, acc: ev.AccuracyReport, vocab, language: str,
-                     max_new: int) -> float:
+def _multiturn_probe(bundle, acc: ev.AccuracyReport, vocab, max_new: int) -> float:
     """Share of second turns that still come back as a well-formed chain
     when the first turn's source-language portions form the history.
     Pairs up the first eight harmless queries of `acc`, the bundle's own
@@ -561,12 +547,12 @@ def _multiturn_probe(bundle, acc: ev.AccuracyReport, vocab, language: str,
     ok = 0
     for (_, out1), (qx2, _) in pairs:
         try:
-            parse1 = parse_tcot(out1, vocab, language=language)
+            parse1 = parse_tcot(out1, vocab)
             if parse1.mode != "tcot":
                 continue
             prompt2 = render_template(build_multiturn_input([parse1], qx2, vocab), vocab)
             out2 = greedy_decode(bundle, prompt2, max_new=max_new, eos_id=vocab.eos_id)
-            if parse_tcot(out2, vocab, language=language).mode == "tcot":
+            if parse_tcot(out2, vocab).mode == "tcot":
                 ok += 1
         except (ev.ParseError, SequenceLengthError):
             continue
@@ -579,82 +565,77 @@ def step_evaluate(cfg: RunConfig, ws: Workspace) -> dict:
     direct = _load_ckpt(ws, "direct_sft", full_vocab)
     cpt_only = _load_ckpt(ws, "cpt_only", full_vocab)
     reference = _load_ckpt(ws, "extended", full_vocab)
-
-    report: dict = {"config_hash": cfg.hash(), "tool_version": TOOL_VERSION,
-                    "languages": list(cfg.languages), "per_language": {}}
     outputs = []
 
-    for lang in cfg.languages:
-        data = _load_world(cfg, ws, lang)
-        spec = data["spec"]
-        valid_q = data["valid_q"]
+    data = _load_world(ws)
+    spec = data["spec"]
+    valid_q = data["valid_q"]
 
-        acc_final = ev.exact_match_eval(final, valid_q, spec, full_vocab,
-                                        mode="x", max_new=cfg.eval_max_new)
-        acc_direct = ev.exact_match_eval(direct, valid_q, spec, full_vocab,
-                                         mode="x", max_new=cfg.eval_max_new)
-        delta = ev.compute_delta(acc_final.judge_scores, acc_direct.judge_scores)
+    acc_final = ev.exact_match_eval(final, valid_q, spec, full_vocab,
+                                    mode="x", max_new=cfg.eval_max_new)
+    acc_direct = ev.exact_match_eval(direct, valid_q, spec, full_vocab,
+                                     mode="x", max_new=cfg.eval_max_new)
+    delta = ev.compute_delta(acc_final.judge_scores, acc_direct.judge_scores)
 
-        # safety table over outcome categories, zero-sum columns dropped
-        table = [list(acc_final.bypass_reject_unclear),
-                 list(acc_direct.bypass_reject_unclear)]
-        cols = [j for j in range(3) if table[0][j] + table[1][j] > 0]
-        chi2 = None
-        if len(cols) >= 2:
-            trimmed = [[row[j] for j in cols] for row in table]
-            try:
-                chi2 = ev.chi2_test(trimmed).to_dict()
-            except ev.EvalError:
-                chi2 = None
-
-        rkd_valid = dp.load_records(os.path.join(ws.root, "data", f"valid_rkd_{lang}.jsonl"))
-        tcot_valid = dp.load_records(os.path.join(ws.root, "data", f"valid_tcot_{lang}.jsonl"))
-
-        forgetting = {name: r.to_dict() for name, r in ev.forgetting_probability(
-            {"cpt_only": cpt_only, "final": final, "direct_sft": direct},
-            reference, rkd_valid).items()}
-
-        similarity = ev.hidden_similarity(final, tcot_valid, full_vocab,
-                                          language=lang).to_dict()
-
-        # strict vs lenient judge agreement on the pairwise comparison
-        strict = _verdicts(acc_final.judge_scores, acc_direct.judge_scores)
-        lenient = _verdicts(_lenient_scores(acc_final), _lenient_scores(acc_direct))
-        agreement = {"with_tie": ev.agreement_rate(strict, lenient, include_ties=True)}
+    # safety table over outcome categories, zero-sum columns dropped
+    table = [list(acc_final.bypass_reject_unclear),
+             list(acc_direct.bypass_reject_unclear)]
+    cols = [j for j in range(3) if table[0][j] + table[1][j] > 0]
+    chi2 = None
+    if len(cols) >= 2:
+        trimmed = [[row[j] for j in cols] for row in table]
         try:
-            agreement["without_tie"] = ev.agreement_rate(strict, lenient, include_ties=False)
+            chi2 = ev.chi2_test(trimmed).to_dict()
         except ev.EvalError:
-            agreement["without_tie"] = None
+            chi2 = None
 
-        # the first validation output that parses as a chain, reusing the
-        # accuracy pass's decodes
-        attention_summary = None
-        for posed, out in zip(acc_final.posed, acc_final.outputs):
-            prompt = render_template(ConversationHistory(pending=posed), full_vocab)
-            try:
-                dump = ev.attention_dump(final, prompt, out, full_vocab, language=lang)
-            except ev.ParseError:
-                continue  # output not a well-formed chain; try the next query
-            paths = [ws.path("report", f"attention_{lang}.{ext}") for ext in ("npy", "json")]
-            dump.save(*paths)
-            outputs += paths
-            attention_summary = dump.x_row_mass
-            break
+    rkd_valid = dp.load_records(os.path.join(ws.root, "data", f"valid_rkd_{wd.LANGUAGE}.jsonl"))
+    tcot_valid = dp.load_records(os.path.join(ws.root, "data", f"valid_tcot_{wd.LANGUAGE}.jsonl"))
 
-        report["per_language"][lang] = {
-            "accuracy": {"final": acc_final.to_dict(), "direct_sft": acc_direct.to_dict()},
-            "delta_final_vs_direct": delta.to_dict(),
-            "binomial": {"n_win": delta.n_win, "n_loss": delta.n_loss,
-                         "p_value": delta.p_value, "significant": delta.p_value < 0.05},
-            "safety_chi2": chi2,
-            "forgetting": forgetting,
-            "hidden_similarity": similarity,
-            "judge_agreement": agreement,
-            "attention_x_row_mass": attention_summary,
-            "multiturn_chain_rate": _multiturn_probe(final, acc_final, full_vocab, lang,
-                                                     cfg.eval_max_new),
-        }
+    forgetting = {name: r.to_dict() for name, r in ev.forgetting_probability(
+        {"cpt_only": cpt_only, "final": final, "direct_sft": direct},
+        reference, rkd_valid).items()}
 
+    similarity = ev.hidden_similarity(final, tcot_valid, full_vocab).to_dict()
+
+    # strict vs lenient judge agreement on the pairwise comparison
+    strict = _verdicts(acc_final.judge_scores, acc_direct.judge_scores)
+    lenient = _verdicts(_lenient_scores(acc_final), _lenient_scores(acc_direct))
+    agreement = {"with_tie": ev.agreement_rate(strict, lenient, include_ties=True)}
+    try:
+        agreement["without_tie"] = ev.agreement_rate(strict, lenient, include_ties=False)
+    except ev.EvalError:
+        agreement["without_tie"] = None
+
+    # the first validation output that parses as a chain, reusing the
+    # accuracy pass's decodes
+    attention_summary = None
+    for posed, out in zip(acc_final.posed, acc_final.outputs):
+        prompt = render_template(ConversationHistory(pending=posed), full_vocab)
+        try:
+            dump = ev.attention_dump(final, prompt, out, full_vocab)
+        except ev.ParseError:
+            continue  # output not a well-formed chain; try the next query
+        paths = [ws.path("report", f"attention_{wd.LANGUAGE}.{ext}") for ext in ("npy", "json")]
+        dump.save(*paths)
+        outputs += paths
+        attention_summary = dump.x_row_mass
+        break
+
+    results = {
+        "accuracy": {"final": acc_final.to_dict(), "direct_sft": acc_direct.to_dict()},
+        "delta_final_vs_direct": delta.to_dict(),
+        "binomial": {"n_win": delta.n_win, "n_loss": delta.n_loss,
+                     "p_value": delta.p_value, "significant": delta.p_value < 0.05},
+        "safety_chi2": chi2,
+        "forgetting": forgetting,
+        "hidden_similarity": similarity,
+        "judge_agreement": agreement,
+        "attention_x_row_mass": attention_summary,
+        "multiturn_chain_rate": _multiturn_probe(final, acc_final, full_vocab, cfg.eval_max_new),
+    }
+    report = {"config_hash": cfg.hash(), "tool_version": TOOL_VERSION,
+              "languages": [wd.LANGUAGE], "per_language": {wd.LANGUAGE: results}}
     report_path = ws.write_json("report/report.json", report)
     outputs.append(report_path)
 
@@ -663,19 +644,15 @@ def step_evaluate(cfg: RunConfig, ws: Workspace) -> dict:
     with atomic_open(delta_csv, newline="") as f:
         w = csv.writer(f)
         w.writerow(["language", "comparison", "win", "tie", "loss", "delta", "p_value"])
-        for lang, res in report["per_language"].items():
-            d = res["delta_final_vs_direct"]
-            w.writerow([lang, "final vs direct-sft",
-                        f"{d['win']:.2f}", f"{d['tie']:.2f}", f"{d['loss']:.2f}",
-                        f"{d['delta']:.2f}", f"{res['binomial']['p_value']:.6f}"])
+        w.writerow([wd.LANGUAGE, "final vs direct-sft",
+                    *(f"{v:.2f}" for v in (delta.win, delta.tie, delta.loss, delta.delta)),
+                    f"{delta.p_value:.6f}"])
     safety_csv = ws.path("report", "safety.csv")
     with atomic_open(safety_csv, newline="") as f:
         w = csv.writer(f)
         w.writerow(["language", "model", "bypass", "reject", "unclear"])
-        for lang, res in report["per_language"].items():
-            for name in ("final", "direct_sft"):
-                b, r, u = res["accuracy"][name]["bypass_reject_unclear"]
-                w.writerow([lang, name, b, r, u])
+        for name, acc in (("final", acc_final), ("direct_sft", acc_direct)):
+            w.writerow([wd.LANGUAGE, name, *acc.bypass_reject_unclear])
     outputs += [delta_csv, safety_csv]
     ws.append_manifest("evaluate", cfg.hash(), outputs)
     return report

@@ -29,14 +29,10 @@ EOS = "⟨EOS⟩"
 PAD = "⟨PAD⟩"
 RESPONSE = "⟨response⟩"
 EN = "⟨EN⟩"
+X = "⟨X⟩"
 
 # reserved bracket characters; regular text may never contain them
 _RESERVED_CHARS = ("⟨", "⟩")
-
-
-def lang_token(name: str) -> str:
-    """Language-ID token surface for a language name, e.g. "X" -> ⟨X⟩."""
-    return f"⟨{name}⟩"
 
 
 class TokenizerError(ValueError):

@@ -26,6 +26,10 @@ _SRC_VOWELS = "aei"
 _TGT_CONSONANTS = "BCDGJKMPQRVWZ"
 _TGT_VOWELS = "AOU"
 
+# the target language's name, as written in spec.json and the workdir's
+# file names; its reserved token is tokenizer.X
+LANGUAGE = "X"
+
 # query-family keywords; also part of the lexicon so they translate
 KEYWORDS = ("say", "flip", "add", "what")
 MAX_OPERAND = 9
@@ -96,7 +100,7 @@ def _pseudo_word(rng, consonants, vowels, n_syllables):
     return "".join(out)
 
 
-def build_language_spec(seed: int, n_words: int = 200, language: str = "X") -> ToyLanguageSpec:
+def build_language_spec(seed: int, n_words: int = 200) -> ToyLanguageSpec:
     """Construct a language pair deterministically from a seed.
 
     Source and target use disjoint vowel inventories, so no surface can
@@ -136,7 +140,7 @@ def build_language_spec(seed: int, n_words: int = 200, language: str = "X") -> T
 
     templates = ["{0} {1}", "{0} {1} {2}", "{0} {1} {2} {3}", "{0} {1} {2} {3} {4}"]
     return ToyLanguageSpec(
-        language=language,
+        language=LANGUAGE,
         words=words,
         content_words=safe,
         cipher=cipher,

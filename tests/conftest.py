@@ -61,8 +61,7 @@ def build_toy_world(seed=11, n_words=60, en_vocab_size=220, x_vocab_size=150,
     v_en = tok.learn_vocab(en_mono + format_lines, en_vocab_size, alphabet=TEMPLATE_CHARS)
     base_vocab = tok.merge_vocab(v_en, tok.Vocabulary([], []), [tok.EOS, tok.PAD, tok.RESPONSE])
     v_x = tok.learn_vocab(x_mono, x_vocab_size)
-    vocab = tok.merge_vocab(base_vocab, v_x,
-                            [tok.EN, tok.lang_token(spec.language)])
+    vocab = tok.merge_vocab(base_vocab, v_x, [tok.EN, tok.X])
     return ToyWorld(
         spec=spec, teacher=wd.TeacherOracle(spec),
         base_vocab=base_vocab, vocab=vocab,

@@ -243,6 +243,17 @@ NESTED_TYPOS = {
     "cpt_window": {"version": 1, "cpt_window": 0},
     "sft_max_len": {"version": 1, "sft_max_len": 10000},
     "translation_fraction": {"version": 1, "translation_fraction": 3.0},
+    # the one target language is X, so ⟨X⟩ and ⟨EN⟩ stay distinct
+    "languages_en": {"version": 1, "languages": ["EN"]},
+    "languages_empty": {"version": 1, "languages": []},
+    "languages_twice": {"version": 1, "languages": ["X", "X"]},
+    "languages_string": {"version": 1, "languages": "XY"},
+    "languages_other": {"version": 1, "languages": ["Y"]},
+    # values world generation cannot take
+    "seed_string": {"version": 1, "seed": "a"},
+    "seed_negative": {"version": 1, "seed": -1},
+    "world_number": {"version": 1, "world": 5},
+    "n_words": {"version": 1, "world": {"n_words": 3}},
 }
 
 

@@ -184,7 +184,7 @@ def test_cached_greedy_matches_uncached_loop():
 
 def specials(toy):
     v = toy.vocab
-    return v.special_id(tok.EN), v.special_id(tok.RESPONSE), v.special_id("⟨X⟩"), v.eos_id
+    return v.special_id(tok.EN), v.special_id(tok.RESPONSE), v.special_id(tok.X), v.eos_id
 
 
 def test_parse_tcot_full_chain(toy):
@@ -243,7 +243,7 @@ def test_parse_out_of_order(toy):
 def make_parse(toy, q_en, a_en, a_x):
     v = toy.vocab
     return inf.TcotParse(mode="tcot", q_en=v.encode(q_en), a_en=v.encode(a_en),
-                         a_x=v.encode(a_x), language="X")
+                         a_x=v.encode(a_x))
 
 
 def test_multiturn_uses_en_history(toy):

@@ -4,7 +4,6 @@ from pathlib import Path
 
 import pytest
 
-from langlift import datapipe as dp
 from langlift import evallab as ev
 from langlift import pipeline as pl
 from langlift import tokenizer as tok
@@ -34,27 +33,9 @@ def test_extension_keeps_source_tokenization(tmp_path):
     cfg = pl.tiny_config(seed=2)
     ws = run_steps_until_data(cfg, str(tmp_path))
     base, full = pl._vocabs(ws)
-    data = pl._load_world(cfg, ws, "X")
+    data = pl._load_world(ws)
     for text in data["en_mono"][:30]:
         assert base.encode(text) == full.encode(text)
-
-
-def test_multilingual_data_build(tmp_path):
-    cfg = pl.tiny_config(seed=3)
-    cfg.languages = ["X", "K2"]
-    ws = run_steps_until_data(cfg, str(tmp_path))
-    _, full = pl._vocabs(ws)
-    # one language-ID token per language, all distinct
-    ids = {lang: full.special_id(tok.lang_token(lang)) for lang in cfg.languages}
-    assert len(set(ids.values())) == 2
-    stage3 = dp.load_records(str(Path(tmp_path, "data", "stage3.jsonl")))
-    langs_seen = set()
-    for r in stage3:
-        if r.kind == "tcot":
-            for lang, i in ids.items():
-                if i in r.target_ids:
-                    langs_seen.add(lang)
-    assert langs_seen == {"X", "K2"}
 
 
 def test_manifest_reproducibility_fields(tmp_path):
@@ -75,7 +56,7 @@ def test_evaluate_decodes_each_query_once(tmp_path, monkeypatch):
     pl.run_all(cfg, str(tmp_path))
     ws = pl.Workspace(str(tmp_path))
     _, vocab = pl._vocabs(ws)
-    data = pl._load_world(cfg, ws, "X")
+    data = pl._load_world(ws)
     spec, valid_q = data["spec"], data["valid_q"]
     teacher = wd.TeacherOracle(spec)
     chains = {}
@@ -85,7 +66,7 @@ def test_evaluate_decodes_each_query_once(tmp_path, monkeypatch):
         chains[prompt] = ([vocab.special_id(tok.EN)] + vocab.encode(q.text)
                           + [vocab.special_id(tok.RESPONSE)]
                           + vocab.encode(teacher.answer(q.text))
-                          + [vocab.special_id(tok.lang_token("X"))]
+                          + [vocab.special_id(tok.X)]
                           + vocab.encode(ev.expected_x_answer(spec, q_x)) + [vocab.eos_id])
 
     first_turns, second_turns = [], []

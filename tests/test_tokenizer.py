@@ -166,7 +166,7 @@ def test_merge_vocab_self_merge_adds_only_specials():
 def test_merge_vocab_set_union():
     original = tok.Vocabulary(["a", "b"], [])
     learned = tok.Vocabulary(["b", "c"], [])
-    merged = tok.merge_vocab(original, learned, [tok.lang_token("X")])
+    merged = tok.merge_vocab(original, learned, [tok.X])
     assert len(merged) == 4
     assert merged.token_to_id["a"] == 0
     assert merged.token_to_id["b"] == 1
@@ -271,7 +271,7 @@ def test_id_stability_under_merge():
     corpus = ["melo pira melo", "pira gusa"]
     original = tok.merge_vocab(tok.learn_vocab(corpus, target_size=25), tok.Vocabulary(["m"], []), [tok.EOS])
     learned = tok.learn_vocab(["zuko muno zuko"], target_size=20)
-    merged = tok.merge_vocab(original, learned, [tok.lang_token("X")])
+    merged = tok.merge_vocab(original, learned, [tok.X])
     for t, i in original.token_to_id.items():
         assert merged.token_to_id[t] == i
     # old text still encodes to the same ids
