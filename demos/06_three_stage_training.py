@@ -7,7 +7,6 @@ full-parameter training.
 """
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -56,21 +55,27 @@ queries = wd.gen_query_set(toy.spec, 16, harmful_fraction=0.0, seed=2)
 rkd = dp.build_rkd(queries, toy.teacher, vocab)
 packed3 = dp.pack_and_mix(rkd, pad_id=vocab.pad_id, seed=0, kind="transform-sft",
                           max_len=96, batch_size=8)
-stage3 = tr.StageConfig(stage="transform-sft", peak_lr=1e-3, max_epochs=1,
-                        max_steps=6, batch_size=8, seed=0)
+stage3 = tr.StageConfig(stage="transform-sft", peak_lr=1e-3, weight_decay=0.1,
+                        max_epochs=2, batch_size=4, seed=0)
 
+# one run straight through its 8 steps, checkpointed after step 3, and the
+# same run continued from that checkpoint
 straight = md.clone_bundle(bundle)
-m_straight, _ = tr.train_stage(straight, packed3, stage3)
-
-resumed = md.clone_bundle(bundle)
-half = replace(stage3, max_steps=3)
-m_half, opt = tr.train_stage(resumed, packed3, half)
+opt = tr.AdamW()
 with tempfile.TemporaryDirectory() as tmp:
-    tr.save_checkpoint(resumed, opt, tmp + "/ck", step=3, stage="transform-sft")
+    def checkpoint_after_step_3(entry):
+        if entry["step"] == 2:
+            tr.save_checkpoint(straight, opt, tmp + "/ck", step=3, stage="transform-sft")
+
+    m_straight, _ = tr.train_stage(straight, packed3, stage3, optimizer=opt,
+                                   log=checkpoint_after_step_3)
     loaded, opt2, meta = tr.load_checkpoint(tmp + "/ck")
 m_rest, _ = tr.train_stage(loaded, packed3, stage3, optimizer=opt2, start_step=meta["step"])
-print("\nresume reproduces the uninterrupted run:",
-      [m["train_loss"] for m in m_straight] == [m["train_loss"] for m in m_half + m_rest])
+print(f"\nresumed at step {meta['step']} of {len(m_straight)}, trained {len(m_rest)} more")
+print("resume reproduces the uninterrupted run:",
+      [m["train_loss"] for m in m_straight[meta["step"]:]] == [m["train_loss"] for m in m_rest]
+      and all(np.array_equal(a.data, b.data) for (_, a), (_, b)
+              in zip(straight.named_parameters(), loaded.named_parameters())))
 
 # %% folding adapters at a stage boundary (full-parameter approximation)
 before = md.forward([1, 2, 3], straight.weights, straight.adapters).logits.data

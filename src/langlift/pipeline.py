@@ -124,21 +124,27 @@ class RunConfig:
             ModelConfig(vocab_size=1, **doc.get("model", {}))
         except (TypeError, ModelError) as e:
             raise PipelineError(f"model: {e}") from e
+        if not isinstance(doc.get("stages", {}), dict):
+            raise PipelineError(f"stages must be an object, got {doc['stages']!r}")
         if "stages" in doc and set(doc["stages"]) != set(PHASES):
             raise PipelineError(f"stages must set exactly the phases {sorted(PHASES)}, "
                                 f"got {sorted(doc['stages'])}")
-        for phase, settings in doc.get("stages", {}).items():
+        cfg = cls(**doc)
+        for phase in PHASES:
             try:
-                StageConfig(**settings)
+                cfg.stage_config(phase)
             except (TypeError, TrainerError) as e:
                 raise PipelineError(f"stages[{phase!r}]: {e}") from e
-        cfg = cls(**doc)
         if cfg.languages != [wd.LANGUAGE]:
             raise PipelineError(f"languages must be {[wd.LANGUAGE]}, got {cfg.languages!r}")
         _check_range("seed", cfg.seed, 0, float("inf"), int)
         # build_language_spec draws 8 harmful markers, then 24 lookup keys
         # from the other content words
         _check_range("world.n_words", cfg.world.n_words, 32, float("inf"), int)
+        for name, count in asdict(cfg.world).items():
+            if name not in ("n_words", "harmful_fraction"):
+                _check_range(f"world.{name}", count, 1, float("inf"), int)
+        _check_range("world.harmful_fraction", cfg.world.harmful_fraction, 0, 1, (int, float))
         max_len = ModelConfig(vocab_size=1, **cfg.model).max_seq_len
         _check_range("eval_max_new", cfg.eval_max_new, 1, float("inf"), int)
         _check_range("cpt_window", cfg.cpt_window, 2, max_len, int)
@@ -147,9 +153,7 @@ class RunConfig:
         return cfg
 
     def stage_config(self, phase: str) -> StageConfig:
-        args = dict(self.stages[phase])
-        args.setdefault("seed", self.seed)
-        return StageConfig(**args)
+        return StageConfig(**self.stages[phase], seed=self.seed)
 
     def hash(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]

@@ -1,9 +1,10 @@
 """Stage training loop with adapter-only updates and exact resumability.
 
 Every run is a pure function of (model state, dataset, config): batch
-order derives from (seed, epoch), dropout noise from (seed, step), and
-the learning rate from the step index alone, so a run resumed from a
-checkpoint at step k reproduces the uninterrupted run bit for bit.
+order derives from (seed, epoch), dropout noise from (seed, step), the
+learning rate from the step index alone, and the optimizer takes both it
+and the weight decay from the config at every step, so a run resumed
+from a checkpoint at step k reproduces the uninterrupted run bit for bit.
 
 An optimizer step runs its records as stacks: consecutive records, each
 trimmed to its last target, laid end to end up to the model's
@@ -43,27 +44,33 @@ class TrainingDiverged(TrainerError):
 
 @dataclass
 class StageConfig:
+    """Settings of one training phase. Its plan is max_epochs passes over
+    the data in steps of batch_size records; max_steps caps the plan, and
+    the learning-rate schedule (see lr_at) spans the capped plan."""
+
     stage: str
     peak_lr: float = 2e-4
     warmup_ratio: float = 0.01
     weight_decay: float = 0.0
     batch_size: int = 8
-    grad_accum: int = 1
     max_epochs: int = 1
     cosine_horizon_epochs: int | None = None  # schedule horizon; None = max_epochs
     valid_every: int = 400
     seed: int = 0
-    max_steps: int | None = None              # optional hard cap inside the epoch budget
+    max_steps: int | None = None
 
     def __post_init__(self):
         if self.stage not in STAGES:
             raise TrainerError(f"unknown stage {self.stage!r}")
+        for name in ("peak_lr", "weight_decay"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not value >= 0:
+                raise TrainerError(f"{name} must be a non-negative number, got {value!r}")
         if not 0.0 <= self.warmup_ratio < 1.0:
             raise TrainerError("warmup_ratio must be in [0, 1)")
-        if self.valid_every < 1:
-            raise TrainerError("valid_every must be at least 1")
-        if self.batch_size < 1 or self.grad_accum < 1:
-            raise TrainerError("batch_size and grad_accum must be at least 1")
+        for name in ("batch_size", "max_epochs", "valid_every"):
+            if getattr(self, name) < 1:
+                raise TrainerError(f"{name} must be at least 1")
         if self.max_steps is not None and self.max_steps < 0:
             raise TrainerError("max_steps must not be negative")
 
@@ -86,20 +93,23 @@ def lr_at(step: int, total_steps: int, config: StageConfig) -> float:
     return config.peak_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-class AdamW:
-    """Adam with decoupled weight decay. Moment buffers exist only for
-    parameters that actually received gradients."""
+BETAS = (0.9, 0.999)
+EPS = 1e-8
 
-    def __init__(self, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
-        self.betas = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
+
+class AdamW:
+    """Adam with decoupled weight decay (Loshchilov & Hutter, 2019). It
+    holds only its moment buffers, which exist only for parameters that
+    actually received gradients, and its step count; the learning rate and
+    the weight decay are arguments of every step."""
+
+    def __init__(self):
         self.step_count = 0
         self.moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def step(self, named_params, lr: float) -> None:
+    def step(self, named_params, lr: float, weight_decay: float) -> None:
         self.step_count += 1
-        b1, b2 = self.betas
+        b1, b2 = BETAS
         correct1 = 1.0 - b1 ** self.step_count
         correct2 = 1.0 - b2 ** self.step_count
         for name, tensor in named_params:
@@ -113,9 +123,9 @@ class AdamW:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * (g * g)
-            update = (m / correct1) / (np.sqrt(v / correct2) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * tensor.data
+            update = (m / correct1) / (np.sqrt(v / correct2) + EPS)
+            if weight_decay:
+                update = update + weight_decay * tensor.data
             tensor.data = tensor.data - np.asarray(lr, dtype=tensor.dtype) * update.astype(tensor.dtype)
             tensor.grad = None
 
@@ -213,18 +223,14 @@ def evaluate_validation(bundle: ModelBundle, examples) -> float:
 
 
 def _step_plan(n_examples: int, config: StageConfig) -> list[list[int]]:
-    """Example indices consumed by each optimizer step, for all epochs.
-
-    Planning at the example level makes batch_size x grad_accum
-    arithmetically one batch: (8, 1) and (4, 2) consume identical record
-    sequences.
-    """
+    """Example indices consumed by each optimizer step, for all epochs:
+    each epoch's (seed, epoch) permutation cut into runs of batch_size,
+    then capped at max_steps."""
     plan = []
-    per_step = config.batch_size * config.grad_accum
     for epoch in range(config.max_epochs):
         order = np.random.default_rng([config.seed, 401, epoch]).permutation(n_examples)
-        for start in range(0, n_examples, per_step):
-            plan.append([int(i) for i in order[start:start + per_step]])
+        for start in range(0, n_examples, config.batch_size):
+            plan.append([int(i) for i in order[start:start + config.batch_size]])
     if config.max_steps is not None:
         plan = plan[:config.max_steps]
     return plan
@@ -239,13 +245,17 @@ def train_stage(bundle: ModelBundle, dataset: PackedDataset, config: StageConfig
     Under use_lora the base projections, norms and positional table stay
     frozen and the adapters, embeddings, and head train; otherwise
     everything trains.
-    Gradients of an optimizer step are the mean over all records in its
-    accumulation window, each record weighted as the mean over its own
-    targets, so grad_accum x batch_size is arithmetically one batch. The
-    window's records run as stacks (see stack_examples), one tape each,
-    at most max_seq_len rows per stack.
+    Gradients of an optimizer step are the mean over its batch_size
+    records, each record weighted as the mean over its own targets. The
+    records run as stacks (see stack_examples), one tape each, at most
+    max_seq_len rows per stack, and the gradients accumulate across them.
+    A run resumed at start_step with the optimizer of load_checkpoint
+    reproduces the uninterrupted run; under select_best it is refused,
+    since the checkpoint holds no best state from before start_step.
     """
     toggles = toggles or AblationToggles()
+    if select_best and start_step > 0:
+        raise TrainerError("a resumed run cannot select its best validation state")
     if dataset.kind != config.stage:
         raise TrainerError(
             f"dataset kind {dataset.kind!r} does not match stage {config.stage!r}")
@@ -255,8 +265,7 @@ def train_stage(bundle: ModelBundle, dataset: PackedDataset, config: StageConfig
         raise TrainerError("full-parameter training must not have adapters attached")
     set_trainable(bundle, "lora" if toggles.use_lora else "full")
 
-    if optimizer is None:
-        optimizer = AdamW(weight_decay=config.weight_decay)
+    optimizer = optimizer or AdamW()
     examples = dataset.examples
     plan = _step_plan(len(examples), config)
     total_steps = len(plan)
@@ -280,7 +289,7 @@ def train_stage(bundle: ModelBundle, dataset: PackedDataset, config: StageConfig
         if not math.isfinite(step_loss):
             raise TrainingDiverged(step)
         lr = lr_at(step, total_steps, config)
-        optimizer.step(params, lr)
+        optimizer.step(params, lr, config.weight_decay)
 
         entry = {"step": step, "lr": lr, "train_loss": step_loss}
         if valid_examples is not None and (step + 1) % config.valid_every == 0:

@@ -239,6 +239,12 @@ NESTED_TYPOS = {
     "batch_size": _one_phase("target-cpt", batch_size=0),
     "grad_accum": _one_phase("target-cpt", grad_accum=0),
     "max_steps": _one_phase("target-cpt", max_steps=-1),
+    "max_epochs": _one_phase("target-cpt", max_epochs=0),
+    "peak_lr": _one_phase("target-cpt", peak_lr="a"),
+    "weight_decay": _one_phase("original-chat", weight_decay=-0.3),
+    # every phase trains under the run seed
+    "stage_seed": _one_phase("target-cpt", seed=5),
+    "stages_number": {"version": 1, "stages": 5},
     "eval_max_new": {"version": 1, "eval_max_new": 0},
     "cpt_window": {"version": 1, "cpt_window": 0},
     "sft_max_len": {"version": 1, "sft_max_len": 10000},
@@ -254,6 +260,10 @@ NESTED_TYPOS = {
     "seed_negative": {"version": 1, "seed": -1},
     "world_number": {"version": 1, "world": 5},
     "n_words": {"version": 1, "world": {"n_words": 3}},
+    "mono_docs": {"version": 1, "world": {"mono_docs": "a"}},
+    "chat_queries": {"version": 1, "world": {"chat_queries": -3}},
+    "valid_queries": {"version": 1, "world": {"valid_queries": 0}},
+    "harmful_fraction": {"version": 1, "world": {"harmful_fraction": 1.5}},
 }
 
 

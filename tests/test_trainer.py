@@ -62,7 +62,7 @@ def test_adapter_training_changes_only_embeddings_and_head(toy, sft16):
 def test_zero_steps_no_change(toy, sft16):
     bundle = small_bundle(len(toy.vocab))
     before = {n: t.data.copy() for n, t in bundle.named_parameters()}
-    config = tr.StageConfig(stage="transform-sft", peak_lr=1e-3, max_epochs=0, seed=0)
+    config = tr.StageConfig(stage="transform-sft", peak_lr=1e-3, max_steps=0, seed=0)
     metrics, _ = tr.train_stage(bundle, sft16, config)
     assert metrics == []
     for n, t in bundle.named_parameters():
@@ -163,19 +163,18 @@ def test_lr_horizon_knob():
     assert tr.lr_at(99, 100, far) > 0.9
 
 
-def test_grad_accum_equivalence(toy):
+def test_padding_width_does_not_change_training(toy):
     queries = wd.gen_query_set(toy.spec, 16, harmful_fraction=0.0, seed=31)
     records = dp.build_rkd(queries, toy.teacher, toy.vocab)
+    config = tr.StageConfig(stage="transform-sft", peak_lr=1e-3, max_epochs=1,
+                            max_steps=2, batch_size=8, seed=0)
     runs = []
-    for batch_size, accum in ((8, 1), (4, 2)):
+    for width in (8, 4):
         bundle = small_bundle(len(toy.vocab))
-        # padding granularity differs between the runs; pads sit after the
-        # causal horizon so real-row logits are unaffected
+        # records are padded to the longest of each pack batch; pads sit
+        # after the last target, so training never sees them
         packed = dp.pack_and_mix(records, pad_id=toy.vocab.pad_id, seed=1,
-                                 kind="transform-sft", max_len=96, batch_size=batch_size)
-        config = tr.StageConfig(stage="transform-sft", peak_lr=1e-3, max_epochs=1,
-                                max_steps=2, batch_size=batch_size, grad_accum=accum,
-                                seed=0)
+                                 kind="transform-sft", max_len=96, batch_size=width)
         metrics, _ = tr.train_stage(bundle, packed, config)
         runs.append((metrics, {n: t.data.copy() for n, t in bundle.named_parameters()}))
     (m1, p1), (m2, p2) = runs
@@ -189,26 +188,44 @@ def test_grad_accum_equivalence(toy):
 # ---------------------------------------------------------------------------
 
 def test_checkpoint_resume_equivalence(tmp_path, toy, sft16):
-    config = tr.StageConfig(stage="transform-sft", peak_lr=1e-3, max_epochs=1,
-                            max_steps=8, batch_size=8, seed=3)
-
-    straight = small_bundle(len(toy.vocab))
-    m_straight, _ = tr.train_stage(straight, sft16, config)
-
-    resumed = small_bundle(len(toy.vocab))
-    half = replace(config, max_steps=4)
-    m_first, opt = tr.train_stage(resumed, sft16, half)
+    # 16 records in steps of 4 over 2 epochs: an 8-step plan, resumed
+    # after step 5, inside the second epoch
+    config = tr.StageConfig(stage="transform-sft", peak_lr=1e-3, weight_decay=0.3,
+                            max_epochs=2, batch_size=4, seed=3)
+    k = 5
     path = str(tmp_path / "ck")
-    tr.save_checkpoint(resumed, opt, path, step=4, stage="transform-sft")
-    loaded, opt2, meta = tr.load_checkpoint(path)
-    m_second, _ = tr.train_stage(loaded, sft16, config, optimizer=opt2,
-                                 start_step=meta["step"])
+    straight = small_bundle(len(toy.vocab))
+    optimizer = tr.AdamW()
 
-    losses_a = [m["train_loss"] for m in m_straight]
-    losses_b = [m["train_loss"] for m in m_first + m_second]
-    assert losses_a == losses_b
+    def checkpoint_after_step_k(entry):
+        if entry["step"] == k - 1:
+            tr.save_checkpoint(straight, optimizer, path, step=k, stage=config.stage)
+
+    m_straight, _ = tr.train_stage(straight, sft16, config, optimizer=optimizer,
+                                   log=checkpoint_after_step_k)
+    loaded, opt2, meta = tr.load_checkpoint(path)
+    m_resumed, _ = tr.train_stage(loaded, sft16, config, optimizer=opt2,
+                                  start_step=meta["step"])
+
+    assert len(m_straight) == 8 and meta["step"] == k
+    assert [m["step"] for m in m_resumed] == list(range(k, 8))
+    assert [m["train_loss"] for m in m_straight[k:]] == [m["train_loss"] for m in m_resumed]
     for (n1, t1), (n2, t2) in zip(straight.named_parameters(), loaded.named_parameters()):
-        assert np.array_equal(t1.data, t2.data), n1
+        assert n1 == n2 and np.array_equal(t1.data, t2.data), n1
+    # the weight decay acted, so the resumed run kept it
+    undecayed = small_bundle(len(toy.vocab))
+    tr.train_stage(undecayed, sft16, replace(config, weight_decay=0.0), optimizer=tr.AdamW())
+    assert not all(np.array_equal(t1.data, t2.data) for (_, t1), (_, t2)
+                   in zip(straight.named_parameters(), undecayed.named_parameters()))
+
+
+def test_resume_with_best_selection_is_refused(toy, sft16):
+    # the best state seen before the resume point is not in a checkpoint
+    config = tr.StageConfig(stage="transform-sft", max_epochs=1, batch_size=2,
+                            valid_every=1, seed=0)
+    with pytest.raises(tr.TrainerError, match="best"):
+        tr.train_stage(small_bundle(len(toy.vocab)), sft16, config,
+                       valid_examples=sft16.examples[:2], select_best=True, start_step=4)
 
 
 def test_checkpoint_vocab_hash_guard(tmp_path, toy):
