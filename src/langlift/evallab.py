@@ -181,12 +181,12 @@ def _answer_token_probability(bundle: ModelBundle, record: RkdRecord) -> float:
         return 1.0
     ids = list(record.input_ids) + list(record.target_ids[:-1])
     out = forward(ids, bundle.weights, bundle.adapters)
-    logits = out.logits.data.astype(np.float64)
+    # the rows that predict the answer tokens; the softmax is per row
+    logits = out.logits.data[len(record.input_ids):len(ids) - 1].astype(np.float64)
     shifted = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(shifted)
     probs /= probs.sum(axis=1, keepdims=True)
-    rows = np.arange(len(record.input_ids), len(ids) - 1)
-    return float(np.mean(probs[rows, answer]))
+    return float(np.mean(probs[np.arange(len(answer)), answer]))
 
 
 def forgetting_probability(models: dict[str, ModelBundle], reference: ModelBundle,

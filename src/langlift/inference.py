@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import KVCache, ModelBundle, SequenceLengthError, forward
+from .model import KVCache, ModelBundle, SequenceLengthError, fold_adapters, forward
 from .tokenizer import EN, EOS, RESPONSE, X, Vocabulary
 
 DEFAULT_SYSTEM_PROMPT = "You are a helpful assistant."
@@ -78,22 +78,32 @@ def greedy_decode(bundle: ModelBundle, prompt_ids: list[int], max_new: int,
     picks the first maximum); stops after emitting eos_id or max_new
     tokens (max_new must be at least 1). No sampling anywhere.
 
+    A bundle's adapters are folded into their projections once per call
+    (model.fold_adapters), and the model runs without adapters, one
+    product per projection; the bundle is left as it was. So a bundle
+    decodes to the tokens its merged copy decodes to, bit for bit.
+
     Decoding is cached: the first forward runs the prompt, and each
     later one runs only the newest token against the stored keys and
     values, so every token passes through the model once. The first
-    generated token is bit-identical to an uncached forward over the
-    prompt; later logits agree with it to float32 rounding."""
+    generated token's logits are bit-identical to an uncached forward of
+    the folded weights over the prompt, and agree with the adapter
+    forward to float32 rounding; later logits agree with the uncached
+    forward to float32 rounding."""
     if max_new < 1:
         raise InferenceError(f"max_new must be at least 1, got {max_new}")
     max_len = bundle.config.max_seq_len
     if len(prompt_ids) >= max_len:
         raise SequenceLengthError(
             f"prompt of {len(prompt_ids)} tokens leaves no room in context {max_len}")
+    weights = bundle.weights
+    if bundle.adapters is not None:
+        weights = fold_adapters(weights, bundle.adapters)
     ids = prompt_ids
     out: list[int] = []
-    cache = KVCache(bundle.config, bundle.weights.embed.dtype)
+    cache = KVCache(bundle.config, weights.embed.dtype)
     for _ in range(max_new):
-        row = forward(ids, bundle.weights, bundle.adapters, cache=cache).logits.data[-1]
+        row = forward(ids, weights, cache=cache).logits.data[-1]
         nxt = int(np.argmax(row))
         out.append(nxt)
         if nxt == eos_id or len(prompt_ids) + len(out) >= max_len:

@@ -247,8 +247,34 @@ def _dropout_keeps(config: ModelConfig, adapters, lengths, rng,
             for key, p in parts.items()}
 
 
+def fold_adapters(weights: TransformerWeights, adapters) -> TransformerWeights:
+    """The weights with every wrapped projection replaced by
+    W + scale * down @ up, so a forward without adapters computes what
+    the adapters' forward computes, to float32 rounding.
+
+    Pure: a new weight struct is returned and neither argument changes
+    (an adapter's `merged` flag is neither read nor set). Every other
+    tensor, and a projection whose adapter adds exactly zero, is the
+    caller's own tensor, shared, not copied. Raises ShapeError at the
+    first weight or adapter whose shape the config does not give it.
+    """
+    _check_shapes(weights, adapters, None)
+    layers = []
+    for layer, per_layer in zip(weights.layers, adapters):
+        folded = {}
+        for target, a in per_layer.items():
+            delta = (a.down.data @ a.up.data) * np.asarray(a.scale, dtype=a.down.dtype)
+            if np.any(delta):
+                w = getattr(layer, target)
+                folded[target] = nc.Tensor(w.data + delta.astype(w.dtype))
+        layers.append(replace(layer, **folded))
+    return replace(weights, layers=layers)
+
+
 def merge_adapters(weights: TransformerWeights, adapters) -> TransformerWeights:
-    """Fold scale * down @ up into every wrapped projection in place.
+    """Fold the adapters into their projections in place, with the
+    arithmetic of fold_adapters, so a forward of the merged weights
+    equals one of fold_adapters(weights, adapters) bit for bit.
 
     Adapters are consumed: their matrices are zeroed and a second merge
     of the same set is rejected.
@@ -257,12 +283,10 @@ def merge_adapters(weights: TransformerWeights, adapters) -> TransformerWeights:
         for target, a in per_layer.items():
             if a.merged:
                 raise MergeError("adapters were already merged; attach fresh ones first")
-    for layer, per_layer in zip(weights.layers, adapters):
+    folded = fold_adapters(weights, adapters)
+    for layer, new, per_layer in zip(weights.layers, folded.layers, adapters):
         for target, a in per_layer.items():
-            delta = (a.down.data @ a.up.data) * np.asarray(a.scale, dtype=a.down.dtype)
-            w = getattr(layer, target)
-            if np.any(delta):
-                w.data = w.data + delta.astype(w.dtype)
+            getattr(layer, target).data = getattr(new, target).data
             a.up.data = np.zeros_like(a.up.data)
             a.down.data = np.zeros_like(a.down.data)
             a.merged = True

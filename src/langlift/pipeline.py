@@ -130,6 +130,7 @@ class RunConfig:
             raise PipelineError(f"stages must set exactly the phases {sorted(PHASES)}, "
                                 f"got {sorted(doc['stages'])}")
         cfg = cls(**doc)
+        _check_range("seed", cfg.seed, 0, float("inf"), int)
         for phase in PHASES:
             try:
                 cfg.stage_config(phase)
@@ -137,7 +138,6 @@ class RunConfig:
                 raise PipelineError(f"stages[{phase!r}]: {e}") from e
         if cfg.languages != [wd.LANGUAGE]:
             raise PipelineError(f"languages must be {[wd.LANGUAGE]}, got {cfg.languages!r}")
-        _check_range("seed", cfg.seed, 0, float("inf"), int)
         # build_language_spec draws 8 harmful markers, then 24 lookup keys
         # from the other content words
         _check_range("world.n_words", cfg.world.n_words, 32, float("inf"), int)
@@ -153,6 +153,10 @@ class RunConfig:
         return cfg
 
     def stage_config(self, phase: str) -> StageConfig:
+        """The phase's settings, trained under the run seed."""
+        if "seed" in self.stages[phase]:
+            raise PipelineError(f"stages[{phase!r}]: a phase may not set seed; "
+                                f"every phase trains under the run seed")
         return StageConfig(**self.stages[phase], seed=self.seed)
 
     def hash(self) -> str:

@@ -68,11 +68,14 @@ class StageConfig:
                 raise TrainerError(f"{name} must be a non-negative number, got {value!r}")
         if not 0.0 <= self.warmup_ratio < 1.0:
             raise TrainerError("warmup_ratio must be in [0, 1)")
-        for name in ("batch_size", "max_epochs", "valid_every"):
-            if getattr(self, name) < 1:
-                raise TrainerError(f"{name} must be at least 1")
-        if self.max_steps is not None and self.max_steps < 0:
-            raise TrainerError("max_steps must not be negative")
+        for name, least in (("batch_size", 1), ("max_epochs", 1), ("valid_every", 1),
+                            ("cosine_horizon_epochs", 1), ("seed", 0), ("max_steps", 0)):
+            value = getattr(self, name)
+            if value is None and name in ("cosine_horizon_epochs", "max_steps"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise TrainerError(f"{name} must be an integer of at least {least}, "
+                                   f"got {value!r}")
 
 
 @dataclass

@@ -242,6 +242,10 @@ NESTED_TYPOS = {
     "max_epochs": _one_phase("target-cpt", max_epochs=0),
     "peak_lr": _one_phase("target-cpt", peak_lr="a"),
     "weight_decay": _one_phase("original-chat", weight_decay=-0.3),
+    "max_epochs_string": _one_phase("target-cpt", max_epochs="a"),
+    "batch_size_float": _one_phase("transform-sft", batch_size=2.5),
+    "valid_every_string": _one_phase("direct-sft", valid_every="a"),
+    "cosine_horizon_epochs": _one_phase("original-chat", cosine_horizon_epochs=0),
     # every phase trains under the run seed
     "stage_seed": _one_phase("target-cpt", seed=5),
     "stages_number": {"version": 1, "stages": 5},
@@ -267,6 +271,16 @@ NESTED_TYPOS = {
 }
 
 
+# what the error line of these cases must say: the phase and the field
+NAMED_FIELDS = {
+    "stage_seed": "stages['target-cpt']: a phase may not set seed",
+    "max_epochs_string": "stages['target-cpt']: max_epochs must be an integer",
+    "batch_size_float": "stages['transform-sft']: batch_size must be an integer",
+    "valid_every_string": "stages['direct-sft']: valid_every must be an integer",
+    "cosine_horizon_epochs": "stages['original-chat']: cosine_horizon_epochs must be",
+}
+
+
 @pytest.mark.parametrize("case", sorted(NESTED_TYPOS))
 def test_nested_config_typo_is_one_error_line(case, tmp_path, capsys):
     config = tmp_path / "bad.json"
@@ -277,4 +291,5 @@ def test_nested_config_typo_is_one_error_line(case, tmp_path, capsys):
     assert err.value.code == 2
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: bad config")
+    assert NAMED_FIELDS.get(case, "") in lines[0]
     assert not (workdir / "config.json").exists()

@@ -1,3 +1,4 @@
+import copy
 from pathlib import Path
 
 import numpy as np
@@ -262,3 +263,24 @@ def test_multiturn_rejects_unparsed(toy):
     bad = inf.TcotParse(mode="en-direct", a_en=[1])
     with pytest.raises(inf.InferenceError):
         inf.build_multiturn_input([bad], "new", toy.vocab)
+
+
+def test_greedy_adapter_bundle_decodes_as_its_merged_copy():
+    config = md.ModelConfig(vocab_size=29, n_layers=2, d_model=16, n_heads=2, d_ff=32,
+                            max_seq_len=40, lora_rank=2, lora_alpha=4.0, lora_dropout=0.0)
+    rng = np.random.default_rng(22)
+    bundle = md.ModelBundle(config=config, weights=md.init_weights(config, seed=6),
+                            adapters=md.init_adapters(config, seed=7))
+    for per_layer in bundle.adapters:
+        for a in per_layer.values():
+            a.up.data = rng.normal(0.0, 0.3, size=a.up.shape).astype(np.float32)
+    before = copy.deepcopy(bundle)
+    merged = copy.deepcopy(bundle)
+    md.merge_adapters(merged.weights, merged.adapters)
+    for _ in range(12):
+        prompt = rng.integers(0, config.vocab_size, size=int(rng.integers(1, 30))).tolist()
+        out = inf.greedy_decode(bundle, prompt, max_new=16)
+        assert out == inf.greedy_decode(merged, prompt, max_new=16)
+    for (name, t), (_, b) in zip(bundle.named_parameters(), before.named_parameters()):
+        assert np.array_equal(t.data, b.data), name
+    assert not any(a.merged for per_layer in bundle.adapters for a in per_layer.values())

@@ -1,3 +1,4 @@
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -427,6 +428,42 @@ def test_merge_matches_adapter_forward(setup):
         # logits is meaningless in f32
         rel = np.abs(merged - expected).max() / np.abs(expected).max()
         assert rel < 1e-5
+
+
+def test_fold_equals_merge_on_a_copy_and_shares_the_rest():
+    config = tiny_config(lora_targets=("wq", "wo", "w_down"))
+    weights = md.init_weights(config, seed=1)
+    adapters = md.init_adapters(config, seed=2)
+    _randomize_adapters(adapters, np.random.default_rng(8))
+    adapters[1]["wo"].up.data[:] = 0.0  # adds exactly zero, so its projection is kept
+    before = copy.deepcopy((weights, adapters))
+    merged_weights, merged_adapters = copy.deepcopy((weights, adapters))
+    md.merge_adapters(merged_weights, merged_adapters)
+
+    folded = md.fold_adapters(weights, adapters)
+    assert folded.config is weights.config
+    for (name, f), (_, m), (_, w) in zip(folded.named(), merged_weights.named(),
+                                         weights.named()):
+        assert np.array_equal(f.data, m.data), name
+        changed = name in ("layers.0.wq", "layers.0.wo", "layers.0.w_down",
+                           "layers.1.wq", "layers.1.w_down")
+        assert (f is not w) == changed, name
+    # neither argument changed, data or flags
+    for (name, w), (_, b) in zip(weights.named(), before[0].named()):
+        assert np.array_equal(w.data, b.data), name
+    for (name, a), (_, b) in zip(md.adapters_named(adapters), md.adapters_named(before[1])):
+        assert np.array_equal(a.data, b.data), name
+    assert not any(a.merged for per_layer in adapters for a in per_layer.values())
+    # merged adapters are zero, so folding them changes no tensor
+    refolded = md.fold_adapters(merged_weights, merged_adapters)
+    assert all(f is m for (_, f), (_, m) in zip(refolded.named(), merged_weights.named()))
+
+
+def test_fold_rejects_a_misshapen_adapter(setup):
+    _, weights, adapters = setup
+    adapters[1]["w_up"].up = nc.Tensor(np.ones((2, 1), dtype=np.float32))
+    with pytest.raises(nc.ShapeError, match=r"layers\.1\.lora\.w_up\.up"):
+        md.fold_adapters(weights, adapters)
 
 
 def test_double_merge_rejected(setup):
