@@ -64,13 +64,14 @@ def cmd_train(cfg, ws, args):
 def cmd_infer(cfg, ws, args):
     _, vocab = pl._vocabs(ws)
     bundle = pl._load_ckpt(ws, args.checkpoint, vocab)
+    max_new = cfg.eval_max_new if args.max_new is None else args.max_new
     parses = []
     rows_out = []
     for row in wd.load_jsonl(args.input):
         query = row["query"]
         history = build_multiturn_input(parses, query, vocab)
         prompt = render_template(history, vocab)
-        out = greedy_decode(bundle, prompt, max_new=args.max_new, eos_id=vocab.eos_id)
+        out = greedy_decode(bundle, prompt, max_new=max_new, eos_id=vocab.eos_id)
         record = {"query": query}
         if args.raw:
             record["prompt_ids"] = prompt
@@ -160,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default="final")
     p.add_argument("--input", required=True, help="JSONL with a 'query' field per line")
     p.add_argument("--output", required=True)
-    p.add_argument("--max-new", type=int, default=64)
+    p.add_argument("--max-new", type=int, default=None,
+                   help="decode budget per turn (default: the config's eval_max_new)")
     p.add_argument("--raw", action="store_true", help="also dump full token streams")
 
     p = sub.add_parser("eval-delta", help="pairwise win/tie/loss of two checkpoints")

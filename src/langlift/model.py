@@ -224,7 +224,7 @@ def lora_apply(h: nc.Tensor, w: nc.Tensor, adapter: LoraAdapter | None,
 def _dropout_keeps(config: ModelConfig, adapters, lengths, rng,
                    dtype) -> dict[tuple[int, str], np.ndarray]:
     """Every adapter branch's dropout multiplier for sequences of these
-    lengths laid end to end, keyed by (layer, target). One draw, sliced
+    lengths laid end to end, keyed by (layer, target). Masks are drawn
     sequence by sequence, and within one by layer and target in the
     order forward applies them: a generator yields the same numbers
     however the draws are split, so a stacked forward draws exactly what
@@ -234,15 +234,10 @@ def _dropout_keeps(config: ModelConfig, adapters, lengths, rng,
     widths = {target: shape[0] for target, shape in _layer_shapes(config).items()}
     keys = [(li, target) for li, per_layer in enumerate(adapters)
             for target in ALL_TARGETS if target in per_layer]
-    row = sum(widths[target] for _, target in keys)
-    kept = rng.random(sum(lengths) * row) >= config.lora_dropout
     parts: dict[tuple[int, str], list[np.ndarray]] = {key: [] for key in keys}
-    at = 0
     for n in lengths:
         for key in keys:
-            size = n * widths[key[1]]
-            parts[key].append(kept[at:at + size].reshape(n, -1))
-            at += size
+            parts[key].append(rng.random((n, widths[key[1]])) >= config.lora_dropout)
     return {key: nc.dropout_keep(np.concatenate(p), config.lora_dropout, dtype)
             for key, p in parts.items()}
 

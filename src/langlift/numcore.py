@@ -2,9 +2,10 @@
 
 Shapes are explicit: 2-D [rows, cols] for matrices, 1-D for bias/gain
 vectors, 0-D for losses. Kernels are plain numpy; the only broadcasting
-is bias-add. Every primitive records onto the active tape when some
-input requires a gradient, and backward() replays the tape in exact
-reverse order, freeing each entry once replayed; a primitive computes
+is bias-add. The tape is a plain list: every primitive appends an
+(output, inputs, grad_fn) entry to the active one when some input
+requires a gradient, and backward() pops the list in exact reverse
+order, freeing each entry once replayed; a primitive computes
 no gradient for an input that does not require one. Two fused
 primitives, low_rank_matmul (a projection plus its adapter branch) and
 attention (all heads of all the sequences laid end to end in its rows,
@@ -78,38 +79,23 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-class ComputeTape:
-    """Ordered record of primitive applications.
-
-    Recording order is topological by construction, so backward simply
-    walks the entries in reverse. Tensors hold no reference back to the
-    tape, so a closed tape and its intermediates are freed as soon as
-    the last name for it goes.
-    """
-
-    def __init__(self):
-        self._entries: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def record(self, out: Tensor, inputs: tuple[Tensor, ...], grad_fn) -> None:
-        out.requires_grad = True
-        self._entries.append((out, inputs, grad_fn))
+# The active tape: a list of (out, inputs, grad_fn) entries, one per
+# primitive application. Recording order is topological by construction,
+# so backward walks the list in reverse. Tensors hold no reference back
+# to the tape, so a closed tape and its intermediates are freed by
+# reference counting as soon as the last name for the list goes.
+_ACTIVE: list[tuple[Tensor, tuple[Tensor, ...], object]] | None = None
 
 
-_ACTIVE: ComputeTape | None = None
-
-
-def active_tape() -> ComputeTape | None:
+def active_tape() -> list | None:
     return _ACTIVE
 
 
 @contextlib.contextmanager
 def tape():
-    """Context manager opening a fresh recording tape."""
+    """Context manager opening a fresh recording tape (an empty list)."""
     global _ACTIVE
-    t = ComputeTape()
+    t = []
     prev = _ACTIVE
     _ACTIVE = t
     try:
@@ -120,7 +106,8 @@ def tape():
 
 def _maybe_record(out: Tensor, inputs: tuple[Tensor, ...], grad_fn) -> Tensor:
     if _ACTIVE is not None and any(t.requires_grad for t in inputs):
-        _ACTIVE.record(out, inputs, grad_fn)
+        out.requires_grad = True
+        _ACTIVE.append((out, inputs, grad_fn))
     return out
 
 
@@ -144,7 +131,7 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise TapeError(f"backward root must be scalar, got shape {loss.data.shape}")
-    entries = [] if _ACTIVE is None else _ACTIVE._entries
+    entries = [] if _ACTIVE is None else _ACTIVE
     end = next((i for i in range(len(entries) - 1, -1, -1) if entries[i][0] is loss), None)
     if end is None:
         raise TapeError("backward root was not recorded on the active tape "

@@ -111,7 +111,8 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         doc = json.loads(text)
-        if doc.get("version") != 1:
+        # True and 1.0 compare equal to 1, and True is an int instance
+        if type(doc.get("version")) is not int or doc["version"] != 1:
             raise PipelineError("unsupported run config version")
         _check_fields("config fields", doc, cls.__dataclass_fields__)
         world = doc.get("world", {})

@@ -141,15 +141,8 @@ class AdamW:
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray], step_count: int) -> None:
         self.step_count = step_count
-        self.moments = {}
-        pairs: dict[str, dict[str, np.ndarray]] = {}
-        for key, arr in arrays.items():
-            if key.startswith("opt.m."):
-                pairs.setdefault(key[len("opt.m."):], {})["m"] = arr
-            elif key.startswith("opt.v."):
-                pairs.setdefault(key[len("opt.v."):], {})["v"] = arr
-        for name, mv in pairs.items():
-            self.moments[name] = (mv["m"], mv["v"])
+        self.moments = {key[len("opt.m."):]: (arr, arrays["opt.v." + key[len("opt.m."):]])
+                        for key, arr in arrays.items() if key.startswith("opt.m.")}
 
 
 def _live_length(example: TrainExample) -> int:

@@ -75,6 +75,20 @@ def test_infer_writes_parse_records(tiny_workdir, tmp_path):
     assert "output_ids" in rows[0]  # --raw dumps token streams
 
 
+def test_infer_budget_defaults_to_eval_max_new(tiny_workdir, tmp_path, monkeypatch):
+    budgets = []
+    monkeypatch.setattr(cli, "greedy_decode",
+                        lambda *a, max_new, **kw: budgets.append(max_new) or [])
+    turns = tmp_path / "turns.jsonl"
+    turns.write_text('{"query": "QO BO"}\n')
+    out = str(tmp_path / "out.jsonl")
+    assert run_cli(["infer", "--input", str(turns), "--output", out], tiny_workdir) == 0
+    assert run_cli(["infer", "--input", str(turns), "--output", out, "--max-new", "8"],
+                   tiny_workdir) == 0
+    # the tiny config's eval_max_new, then the flag's
+    assert budgets == [24, 8]
+
+
 def test_eval_delta_runs(tiny_workdir, capsys):
     assert run_cli(["eval-delta", "--checkpoint-a", "final",
                     "--checkpoint-b", "direct_sft"], tiny_workdir) == 0
@@ -249,6 +263,9 @@ NESTED_TYPOS = {
     # every phase trains under the run seed
     "stage_seed": _one_phase("target-cpt", seed=5),
     "stages_number": {"version": 1, "stages": 5},
+    # equal to 1 but not the int 1
+    "version_bool": {"version": True},
+    "version_float": {"version": 1.0},
     "eval_max_new": {"version": 1, "eval_max_new": 0},
     "cpt_window": {"version": 1, "cpt_window": 0},
     "sft_max_len": {"version": 1, "sft_max_len": 10000},

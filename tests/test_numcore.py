@@ -248,9 +248,9 @@ def test_closed_tape_freed_without_cycle_collection():
     try:
         with nc.tape() as t:
             loss = nc.sum_all(nc.matmul(x, x))
-            nc.backward(loss)
-        ref = weakref.ref(t)
-        del t
+        # a list takes no weak reference; a recorded grad_fn does
+        ref = weakref.ref(t[0][2])
+        del t, loss
         assert ref() is None
     finally:
         gc.enable()
