@@ -14,6 +14,7 @@ import contextlib
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import datapipe as dp
 from . import evallab as ev
@@ -61,14 +62,34 @@ def cmd_train(cfg, ws, args):
         pl.train_phases(cfg, ws, args.stage, [args.stage])
 
 
+def _read_queries(path: str) -> list[str]:
+    """The query of each non-blank line of a JSONL file. Each line must
+    be a JSON object with a non-empty string "query"."""
+    queries = []
+    with open(path, encoding="utf-8") as f:
+        for n, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise CliError(f"{path} line {n}: not JSON ({e.msg} at column {e.colno})")
+            query = row.get("query") if isinstance(row, dict) else None
+            if not isinstance(query, str) or not query:
+                raise CliError(f'{path} line {n}: need a JSON object with a non-empty '
+                               f'string "query"')
+            queries.append(query)
+    return queries
+
+
 def cmd_infer(cfg, ws, args):
+    queries = _read_queries(args.input)
     _, vocab = pl._vocabs(ws)
     bundle = pl._load_ckpt(ws, args.checkpoint, vocab)
     max_new = cfg.eval_max_new if args.max_new is None else args.max_new
     parses = []
     rows_out = []
-    for row in wd.load_jsonl(args.input):
-        query = row["query"]
+    for query in queries:
         history = build_multiturn_input(parses, query, vocab)
         prompt = render_template(history, vocab)
         out = greedy_decode(bundle, prompt, max_new=max_new, eos_id=vocab.eos_id)
@@ -111,14 +132,14 @@ def cmd_analyze_forgetting(cfg, ws, args):
     reports = ev.forgetting_probability(
         {args.checkpoint: pl._load_ckpt(ws, args.checkpoint, vocab)},
         pl._load_ckpt(ws, args.reference, vocab), rkd_valid)
-    print(json.dumps(reports[args.checkpoint].to_dict(), indent=1, sort_keys=True))
+    print(json.dumps(asdict(reports[args.checkpoint]), indent=1, sort_keys=True))
 
 
 def cmd_analyze_similarity(cfg, ws, args):
     _, vocab = pl._vocabs(ws)
     tcot_valid = dp.load_records(os.path.join(ws.root, "data", f"valid_tcot_{wd.LANGUAGE}.jsonl"))
     report = ev.hidden_similarity(pl._load_ckpt(ws, args.checkpoint, vocab), tcot_valid, vocab)
-    print(json.dumps(report.to_dict(), indent=1, sort_keys=True))
+    print(json.dumps(asdict(report), indent=1, sort_keys=True))
 
 
 def cmd_attention_dump(cfg, ws, args):

@@ -1,7 +1,9 @@
 """Quantitative analyses: pairwise win/tie/loss statistics, significance
-tests, judge agreement, the generation-probability forgetting metric,
-hidden-state cosine similarity, attention dumps, and exact-match scoring
-against the world oracles.
+tests computed in closed form (the binomial test in exact integer
+arithmetic, the chi-squared tail as a finite series), judge agreement,
+the generation-probability forgetting metric, hidden-state cosine
+similarity, attention dumps, and exact-match scoring against the world
+oracles.
 
 Judge scores at this scale come from the exact-match oracle (10 for an
 exact answer, 1 otherwise), so the pairwise machinery runs without an
@@ -49,6 +51,14 @@ class DeltaResult:
         return {"win": self.win, "tie": self.tie, "loss": self.loss, "delta": self.delta}
 
 
+def verdicts(scores_a, scores_b) -> list[str]:
+    """The verdict on each pair of scores, seen from a: win, tie or loss."""
+    a, b = list(scores_a), list(scores_b)
+    if len(a) != len(b):
+        raise EvalError(f"paired score lists differ in length: {len(a)} vs {len(b)}")
+    return ["win" if x > y else "loss" if x < y else "tie" for x, y in zip(a, b)]
+
+
 def compute_delta(scores_a, scores_b) -> DeltaResult:
     """Win/tie/loss counts and percentages of paired scores, their
     difference and the binomial p-value of the wins against the losses.
@@ -56,16 +66,11 @@ def compute_delta(scores_a, scores_b) -> DeltaResult:
     Ties stay in the denominator: win = %(a>b), tie = %(a==b),
     loss = %(a<b), delta = win - loss.
     """
-    a = list(scores_a)
-    b = list(scores_b)
-    if len(a) != len(b):
-        raise EvalError(f"paired score lists differ in length: {len(a)} vs {len(b)}")
-    if not a:
+    v = verdicts(scores_a, scores_b)
+    if not v:
         raise EvalError("no score pairs")
-    n = len(a)
-    n_win = sum(1 for x, y in zip(a, b) if x > y)
-    n_loss = sum(1 for x, y in zip(a, b) if x < y)
-    n_tie = n - n_win - n_loss
+    n = len(v)
+    n_win, n_tie, n_loss = v.count("win"), v.count("tie"), v.count("loss")
     win, tie, loss = (100.0 * n_win / n, 100.0 * n_tie / n, 100.0 * n_loss / n)
     p_value = binomial_test(n_win, n_loss) if n_win + n_loss else 1.0
     return DeltaResult(win=win, tie=tie, loss=loss, delta=win - loss,
@@ -95,14 +100,23 @@ class Chi2Result:
     dof: int
     p_value: float
 
-    def to_dict(self) -> dict:
-        return {"statistic": self.statistic, "dof": self.dof, "p_value": self.p_value}
+
+def _chi2_sf(x: float, dof: int) -> float:
+    """P(X > x) for X chi-squared with integer dof, as the finite series of
+    the upper incomplete gamma function; log-space terms stay finite at large dof."""
+    h = x / 2.0
+    if h <= 0.0:
+        return 1.0
+    total, e = (math.erfc(math.sqrt(h)), 0.5) if dof % 2 else (0.0, 0.0)
+    while e < dof / 2:
+        total += math.exp(e * math.log(h) - h - math.lgamma(e + 1))
+        e += 1
+    return min(1.0, total)
 
 
 def chi2_test(table) -> Chi2Result:
     """Pearson chi-squared test of homogeneity on an r x c count table
     (rows are models, columns are outcome categories)."""
-    from scipy import stats  # imported here: it costs about a second at start-up
     counts = np.asarray(table, dtype=np.float64)
     if counts.ndim != 2 or counts.shape[0] < 2 or counts.shape[1] < 2:
         raise EvalError("need a table of at least 2x2 counts")
@@ -114,7 +128,7 @@ def chi2_test(table) -> Chi2Result:
     statistic = float(((counts - expected) ** 2 / expected).sum())
     dof = (counts.shape[0] - 1) * (counts.shape[1] - 1)
     return Chi2Result(statistic=statistic, dof=dof,
-                      p_value=float(stats.chi2.sf(statistic, dof)))
+                      p_value=_chi2_sf(statistic, dof))
 
 
 def agreement_rate(judge_a, judge_b, include_ties: bool = True) -> float:
@@ -167,10 +181,6 @@ class ForgettingReport:
     p_original: float
     difference: float
 
-    def to_dict(self) -> dict:
-        return {"p_model": self.p_model, "p_original": self.p_original,
-                "difference": self.difference}
-
 
 def _answer_token_probability(bundle: ModelBundle, record: RkdRecord) -> float:
     """Mean probability the model assigns to the teacher answer tokens,
@@ -217,10 +227,6 @@ class SimilarityReport:
     en_segment: float
     x_segment: float
     skipped: int = 0
-
-    def to_dict(self) -> dict:
-        return {"en_segment": self.en_segment, "x_segment": self.x_segment,
-                "skipped": self.skipped}
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:

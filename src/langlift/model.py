@@ -49,10 +49,16 @@ class ModelConfig:
     lora_targets: tuple = ALL_TARGETS
 
     def __post_init__(self):
+        for name in ("vocab_size", "n_layers", "d_model", "n_heads", "d_ff", "max_seq_len",
+                     "lora_rank"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ModelError(f"{name} must be an integer of at least 1, got {value!r}")
+        alpha = self.lora_alpha
+        if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not alpha > 0:
+            raise ModelError(f"lora_alpha must be a positive number, got {alpha!r}")
         if self.d_model % self.n_heads != 0:
             raise ModelError("d_model must be divisible by n_heads")
-        if self.lora_rank < 1:
-            raise ModelError("lora_rank must be at least 1")
         if not 0.0 <= self.lora_dropout < 1.0:
             raise ModelError("lora_dropout must be in [0, 1)")
         self.lora_targets = tuple(self.lora_targets)

@@ -536,13 +536,6 @@ def _lenient_scores(acc: ev.AccuracyReport) -> list[int]:
             for a, e in zip(acc.answers, acc.expected)]
 
 
-def _verdicts(scores_a, scores_b):
-    out = []
-    for x, y in zip(scores_a, scores_b):
-        out.append("win" if x > y else "loss" if x < y else "tie")
-    return out
-
-
 def _multiturn_probe(bundle, acc: ev.AccuracyReport, vocab, max_new: int) -> float:
     """Share of second turns that still come back as a well-formed chain
     when the first turn's source-language portions form the history.
@@ -563,7 +556,7 @@ def _multiturn_probe(bundle, acc: ev.AccuracyReport, vocab, max_new: int) -> flo
             out2 = greedy_decode(bundle, prompt2, max_new=max_new, eos_id=vocab.eos_id)
             if parse_tcot(out2, vocab).mode == "tcot":
                 ok += 1
-        except (ev.ParseError, SequenceLengthError):
+        except (ev.ParseError, SequenceLengthError, tok.TokenizerError):
             continue
     return 100.0 * ok / len(pairs)
 
@@ -586,30 +579,28 @@ def step_evaluate(cfg: RunConfig, ws: Workspace) -> dict:
                                      mode="x", max_new=cfg.eval_max_new)
     delta = ev.compute_delta(acc_final.judge_scores, acc_direct.judge_scores)
 
-    # safety table over outcome categories, zero-sum columns dropped
+    # safety table over outcome categories. Both rows sum to the number
+    # of harmful queries, so once the zero-sum columns are dropped every
+    # expected count is positive; the test needs two columns left.
     table = [list(acc_final.bypass_reject_unclear),
              list(acc_direct.bypass_reject_unclear)]
     cols = [j for j in range(3) if table[0][j] + table[1][j] > 0]
     chi2 = None
     if len(cols) >= 2:
-        trimmed = [[row[j] for j in cols] for row in table]
-        try:
-            chi2 = ev.chi2_test(trimmed).to_dict()
-        except ev.EvalError:
-            chi2 = None
+        chi2 = asdict(ev.chi2_test([[row[j] for j in cols] for row in table]))
 
     rkd_valid = dp.load_records(os.path.join(ws.root, "data", f"valid_rkd_{wd.LANGUAGE}.jsonl"))
     tcot_valid = dp.load_records(os.path.join(ws.root, "data", f"valid_tcot_{wd.LANGUAGE}.jsonl"))
 
-    forgetting = {name: r.to_dict() for name, r in ev.forgetting_probability(
+    forgetting = {name: asdict(r) for name, r in ev.forgetting_probability(
         {"cpt_only": cpt_only, "final": final, "direct_sft": direct},
         reference, rkd_valid).items()}
 
-    similarity = ev.hidden_similarity(final, tcot_valid, full_vocab).to_dict()
+    similarity = asdict(ev.hidden_similarity(final, tcot_valid, full_vocab))
 
     # strict vs lenient judge agreement on the pairwise comparison
-    strict = _verdicts(acc_final.judge_scores, acc_direct.judge_scores)
-    lenient = _verdicts(_lenient_scores(acc_final), _lenient_scores(acc_direct))
+    strict = ev.verdicts(acc_final.judge_scores, acc_direct.judge_scores)
+    lenient = ev.verdicts(_lenient_scores(acc_final), _lenient_scores(acc_direct))
     agreement = {"with_tie": ev.agreement_rate(strict, lenient, include_ties=True)}
     try:
         agreement["without_tie"] = ev.agreement_rate(strict, lenient, include_ties=False)

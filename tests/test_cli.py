@@ -89,6 +89,27 @@ def test_infer_budget_defaults_to_eval_max_new(tiny_workdir, tmp_path, monkeypat
     assert budgets == [24, 8]
 
 
+INFER_BAD_LINES = {
+    "no_query": '{"text": "QO BO"}',
+    "query_number": '{"query": 5}',
+    "not_object": '[1]',
+    "not_json": '{"query": ',
+}
+
+
+@pytest.mark.parametrize("case", sorted(INFER_BAD_LINES))
+def test_infer_bad_input_line_is_one_error_line(case, tiny_workdir, tmp_path, capsys):
+    turns = tmp_path / "turns.jsonl"
+    turns.write_text('{"query": "QO BO"}\n' + INFER_BAD_LINES[case] + "\n")
+    out = tmp_path / "out.jsonl"
+    with pytest.raises(SystemExit) as err:
+        run_cli(["infer", "--input", str(turns), "--output", str(out)], tiny_workdir)
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {turns} line 2:")
+    assert not out.exists()
+
+
 def test_eval_delta_runs(tiny_workdir, capsys):
     assert run_cli(["eval-delta", "--checkpoint-a", "final",
                     "--checkpoint-b", "direct_sft"], tiny_workdir) == 0
@@ -244,6 +265,11 @@ def _one_phase(name, **override):
         for phase, settings in pl.default_config().stages.items()}}
 
 
+def _model(**fields):
+    """The shipped model settings with some fields overridden."""
+    return {"version": 1, "model": {**pl.default_config().model, **fields}}
+
+
 NESTED_TYPOS = {
     "world": {"version": 1, "world": {"n_wrods": 3}},
     "stage": _one_phase("target-cpt", bogus=1),
@@ -285,6 +311,14 @@ NESTED_TYPOS = {
     "chat_queries": {"version": 1, "world": {"chat_queries": -3}},
     "valid_queries": {"version": 1, "world": {"valid_queries": 0}},
     "harmful_fraction": {"version": 1, "world": {"harmful_fraction": 1.5}},
+    # model sizes that would fail only once training starts
+    "n_heads_zero": _model(n_heads=0),
+    "n_layers_string": _model(n_layers="a"),
+    "n_layers_zero": _model(n_layers=0),
+    "d_ff_negative": _model(d_ff=-5),
+    "d_model_float": _model(d_model=64.0),
+    "lora_alpha_string": _model(lora_alpha="a"),
+    "lora_rank_float": _model(lora_rank=2.5),
 }
 
 
@@ -295,6 +329,9 @@ NAMED_FIELDS = {
     "batch_size_float": "stages['transform-sft']: batch_size must be an integer",
     "valid_every_string": "stages['direct-sft']: valid_every must be an integer",
     "cosine_horizon_epochs": "stages['original-chat']: cosine_horizon_epochs must be",
+    "n_heads_zero": "model: n_heads must be an integer of at least 1, got 0",
+    "d_model_float": "model: d_model must be an integer of at least 1, got 64.0",
+    "lora_alpha_string": "model: lora_alpha must be a positive number, got 'a'",
 }
 
 

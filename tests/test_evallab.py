@@ -43,6 +43,12 @@ def test_delta_hand_counts():
     assert (r.win, r.tie, r.loss, r.delta) == (25.0, 50.0, 25.0, 0.0)
 
 
+def test_verdicts_hand_counts():
+    assert ev.verdicts([9, 5, 5, 3], [7, 5, 6, 3]) == ["win", "tie", "loss", "tie"]
+    with pytest.raises(ev.EvalError):
+        ev.verdicts([1], [1, 2])
+
+
 def test_delta_length_mismatch():
     with pytest.raises(ev.EvalError):
         ev.compute_delta([1], [1, 2])
@@ -161,6 +167,30 @@ def test_chi2_dof():
 def test_chi2_zero_expected_rejected():
     with pytest.raises(ev.EvalError):
         ev.chi2_test([[0, 5], [0, 5]])
+
+
+# the 5% critical values chi2.isf(0.05, k) for k = 1..6
+CHI2_CRITICAL_5PCT = [3.8414588206941285, 5.991464547107983, 7.814727903251178,
+                      9.487729036781158, 11.070497693516355, 12.59158724374398]
+
+
+def test_chi2_tail_at_critical_values():
+    for k, x in enumerate(CHI2_CRITICAL_5PCT, start=1):
+        assert ev._chi2_sf(x, k) == pytest.approx(0.05, rel=1e-12), k
+
+
+def test_chi2_tail_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    for dof in range(1, 61):
+        for x in (0.01, 0.5, 1.0, dof / 2, dof, dof + 3 * math.sqrt(2 * dof), 3 * dof + 20):
+            want = float(stats.chi2.sf(x, dof))
+            assert ev._chi2_sf(x, dof) == pytest.approx(want, rel=1e-12), (x, dof)
+
+
+def test_chi2_tail_stays_finite_at_large_dof():
+    # the series terms are summed in log space; direct powers of h overflow
+    p = ev._chi2_sf(2000.0, 2000)
+    assert math.isfinite(p) and 0.4 < p < 0.6
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +522,13 @@ def test_exact_match_unparseable_counts_as_failure(toy, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_pipeline_import_leaves_scipy_unloaded():
+    # neither importing the pipeline nor running the safety test loads scipy
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, langlift.pipeline; print('scipy' in sys.modules)"
+    code = ("import sys, langlift.pipeline; "
+            "langlift.pipeline.ev.chi2_test([[1, 10, 5], [0, 16, 0]]); "
+            "print('scipy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "False"

@@ -113,3 +113,18 @@ def test_lock_closes_its_file_when_writing_the_pid_fails(tmp_path, monkeypatch):
     with pytest.raises(OSError):  # the descriptor is closed
         os.fstat(opened[0])
     assert not (tmp_path / "run.lock").exists()
+
+
+def test_multiturn_probe_counts_unusable_history_as_failed(toy):
+    # ⟨PAD⟩ inside q_en decodes to bracket text, which the template
+    # cannot encode as history; the pair fails instead of aborting
+    v = toy.vocab
+    queries = wd.gen_query_set(toy.spec, 2, harmful_fraction=0.0, seed=5)
+    outputs = [[v.special_id(tok.EN)] + v.encode(q.text) + [v.special_id(tok.PAD)]
+               + [v.special_id(tok.RESPONSE)] + v.encode(toy.teacher.answer(q.text))
+               + [v.special_id(tok.X)] + v.encode(toy.translate(q.text)) + [v.eos_id]
+               for q in queries]
+    acc = ev.AccuracyReport(posed=[toy.translate(q.text) for q in queries], outputs=outputs,
+                            answers=[None, None], expected=["", ""], harmful=[False, False],
+                            refusal="")
+    assert pl._multiturn_probe(None, acc, v, max_new=8) == 0.0
