@@ -64,7 +64,8 @@ def cmd_train(cfg, ws, args):
 
 def _read_queries(path: str) -> list[str]:
     """The query of each non-blank line of a JSONL file. Each line must
-    be a JSON object with a non-empty string "query"."""
+    be a JSON object with a non-empty string "query" free of the
+    reserved bracket characters."""
     queries = []
     with open(path, encoding="utf-8") as f:
         for n, line in enumerate(f, 1):
@@ -78,6 +79,9 @@ def _read_queries(path: str) -> list[str]:
             if not isinstance(query, str) or not query:
                 raise CliError(f'{path} line {n}: need a JSON object with a non-empty '
                                f'string "query"')
+            if any(ch in query for ch in tok._RESERVED_CHARS):
+                raise CliError(f"{path} line {n}: the query contains a reserved bracket "
+                               f"character ({' or '.join(tok._RESERVED_CHARS)})")
             queries.append(query)
     return queries
 

@@ -1,10 +1,16 @@
 """Training-data construction and batch packing.
 
-Four record families feed the pipeline: plain monolingual documents for
-language pre-training, two-direction translation instances replayed
-between source-language documents, recovery records pairing a query with
-the teacher's answer behind a ⟨response⟩ sentinel, and translation
-chain-of-thought records whose target walks ⟨EN⟩ q ⟨response⟩ a ⟨X⟩ a′.
+Six record kinds feed the pipeline. Two are documents: plain monolingual
+documents for language pre-training, and two-direction translation
+instances replayed between source-language documents. Four are chat
+records: recovery records pairing a query with the teacher's answer
+behind ⟨response⟩, chain records whose target walks ⟨EN⟩ q ⟨response⟩ a
+⟨X⟩ a′, translation-instruction records whose target opens with the
+produced language's token, and direct (no-chain) records answering the
+translated query behind ⟨response⟩. `_chat` is where the chat layout
+lives: the template-wrapped query as input, reserved-token-led segments
+closed by ⟨EOS⟩ as target.
+
 Document-style records are packed to a fixed window with ⟨EOS⟩
 separators; instruction-style records are padded per batch and never
 packed, and their loss masks cover target tokens only.
@@ -116,45 +122,44 @@ def build_translation_cpt(pairs: list[ParallelPair], en_docs: list[str],
     return records
 
 
+def _chat(vocab: Vocabulary, query: str,
+          *segments: tuple[str, str]) -> tuple[list[int], list[int]]:
+    """The chat layout: (input_ids, target_ids). The input is the
+    template-wrapped query; the target is each (reserved token, text)
+    segment as the token's id then the text's ids, closed by ⟨EOS⟩."""
+    target = []
+    for token, text in segments:
+        target += [vocab.special_id(token)] + vocab.encode(text)
+    return render_template(ConversationHistory(pending=query), vocab), target + [vocab.eos_id]
+
+
+def _answer(teacher: TeacherOracle, i: int, query: Query) -> str:
+    try:
+        return teacher.answer(query.text)
+    except wd.WorldError as e:
+        raise DataError(f"teacher failed on query {i}: {e}") from e
+
+
 def build_rkd(queries: list[Query], teacher: TeacherOracle,
               vocab: Vocabulary) -> list[RkdRecord]:
     """One record per query: the template-wrapped query as input, the
     ⟨response⟩-led teacher answer (⟨EOS⟩-terminated) as target."""
-    resp = vocab.special_id(RESPONSE)
-    eos = vocab.eos_id
     records = []
     for i, q in enumerate(queries):
-        try:
-            answer = teacher.answer(q.text)
-        except Exception as e:
-            raise DataError(f"teacher failed on query {i}: {e}") from e
-        records.append(RkdRecord(
-            q_en=q.text,
-            a_en=answer,
-            input_ids=render_template(ConversationHistory(pending=q.text), vocab),
-            target_ids=[resp] + vocab.encode(answer) + [eos],
-        ))
+        answer = _answer(teacher, i, q)
+        records.append(RkdRecord(q.text, answer, *_chat(vocab, q.text, (RESPONSE, answer))))
     return records
 
 
 def build_tcot(rkd_records: list[RkdRecord], translator, vocab: Vocabulary) -> list[TcotRecord]:
     """Translate each recovery record into the target language and lay
     out the chain target ⟨EN⟩ q ⟨response⟩ a ⟨X⟩ a′ ⟨EOS⟩."""
-    en_id = vocab.special_id(EN)
-    resp = vocab.special_id(RESPONSE)
-    x_id = vocab.special_id(X)
-    eos = vocab.eos_id
     records = []
     for r in rkd_records:
         q_x = translator(r.q_en)
         a_x = translator(r.a_en)
-        target = ([en_id] + vocab.encode(r.q_en) + [resp] + vocab.encode(r.a_en)
-                  + [x_id] + vocab.encode(a_x) + [eos])
-        records.append(TcotRecord(
-            q_x=q_x, q_en=r.q_en, a_en=r.a_en, a_x=a_x,
-            input_ids=render_template(ConversationHistory(pending=q_x), vocab),
-            target_ids=target,
-        ))
+        records.append(TcotRecord(q_x, r.q_en, r.a_en, a_x, *_chat(
+            vocab, q_x, (EN, r.q_en), (RESPONSE, r.a_en), (X, a_x))))
     return records
 
 
@@ -168,21 +173,14 @@ def build_translation_sft(templates: list[str], pairs: list[ParallelPair],
     for t in templates:
         if "{src}" not in t:
             raise TemplateError(f"template {t!r} lacks the {{src}} placeholder")
-    x_id = vocab.special_id(X)
-    en_id = vocab.special_id(EN)
-    eos = vocab.eos_id
     records = []
     for template in templates:
         for p in pairs:
-            for direction in ("en->x", "x->en"):
-                src, dst = (p.en, p.x) if direction == "en->x" else (p.x, p.en)
-                lang_id = x_id if direction == "en->x" else en_id
+            for direction, src, dst, token in (("en->x", p.en, p.x, X),
+                                               ("x->en", p.x, p.en, EN)):
                 records.append(SftRecord(
-                    input_ids=render_template(
-                        ConversationHistory(pending=template.format(src=src)), vocab),
-                    target_ids=[lang_id] + vocab.encode(dst) + [eos],
-                    meta={"direction": direction, "src": src, "dst": dst},
-                ))
+                    *_chat(vocab, template.format(src=src), (token, dst)),
+                    meta={"direction": direction, "src": src, "dst": dst}))
     return records
 
 
@@ -190,17 +188,12 @@ def build_direct_sft(queries: list[Query], teacher: TeacherOracle, translator,
                      vocab: Vocabulary) -> list[SftRecord]:
     """Direct target-language instruction data (the no-chain ablation):
     translated query in, ⟨response⟩ plus translated answer out."""
-    resp = vocab.special_id(RESPONSE)
-    eos = vocab.eos_id
     records = []
-    for q in queries:
-        a_en = teacher.answer(q.text)
+    for i, q in enumerate(queries):
+        a_en = _answer(teacher, i, q)
         records.append(SftRecord(
-            input_ids=render_template(ConversationHistory(pending=translator(q.text)), vocab),
-            target_ids=[resp] + vocab.encode(translator(a_en)) + [eos],
-            kind="direct-sft",
-            meta={"q_en": q.text, "a_en": a_en},
-        ))
+            *_chat(vocab, translator(q.text), (RESPONSE, translator(a_en))),
+            kind="direct-sft", meta={"q_en": q.text, "a_en": a_en}))
     return records
 
 

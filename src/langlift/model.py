@@ -59,9 +59,14 @@ class ModelConfig:
             raise ModelError(f"lora_alpha must be a positive number, got {alpha!r}")
         if self.d_model % self.n_heads != 0:
             raise ModelError("d_model must be divisible by n_heads")
-        if not 0.0 <= self.lora_dropout < 1.0:
-            raise ModelError("lora_dropout must be in [0, 1)")
-        self.lora_targets = tuple(self.lora_targets)
+        dropout = self.lora_dropout
+        if (isinstance(dropout, bool) or not isinstance(dropout, (int, float))
+                or not 0.0 <= dropout < 1.0):
+            raise ModelError(f"lora_dropout must be a number in [0, 1), got {dropout!r}")
+        targets = self.lora_targets
+        if not isinstance(targets, (list, tuple)) or not all(isinstance(t, str) for t in targets):
+            raise ModelError(f"lora_targets must be a list of target names, got {targets!r}")
+        self.lora_targets = tuple(targets)
         unknown = set(self.lora_targets) - set(ALL_TARGETS)
         if unknown:
             raise ModelError(f"unknown adapter targets: {sorted(unknown)}")

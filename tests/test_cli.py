@@ -94,13 +94,15 @@ INFER_BAD_LINES = {
     "query_number": '{"query": 5}',
     "not_object": '[1]',
     "not_json": '{"query": ',
+    # reserved brackets would fail only at decode, after the earlier turns ran
+    "reserved_bracket": '{"query": "QO ⟨EOS⟩"}',
 }
 
 
 @pytest.mark.parametrize("case", sorted(INFER_BAD_LINES))
 def test_infer_bad_input_line_is_one_error_line(case, tiny_workdir, tmp_path, capsys):
     turns = tmp_path / "turns.jsonl"
-    turns.write_text('{"query": "QO BO"}\n' + INFER_BAD_LINES[case] + "\n")
+    turns.write_text('{"query": "QO BO"}\n' + INFER_BAD_LINES[case] + "\n", encoding="utf-8")
     out = tmp_path / "out.jsonl"
     with pytest.raises(SystemExit) as err:
         run_cli(["infer", "--input", str(turns), "--output", str(out)], tiny_workdir)
@@ -319,6 +321,10 @@ NESTED_TYPOS = {
     "d_model_float": _model(d_model=64.0),
     "lora_alpha_string": _model(lora_alpha="a"),
     "lora_rank_float": _model(lora_rank=2.5),
+    "lora_dropout_string": _model(lora_dropout="a"),
+    "lora_targets_number": _model(lora_targets=5),
+    # a bare string is not a list of one target
+    "lora_targets_string": _model(lora_targets="wq"),
 }
 
 
@@ -332,6 +338,9 @@ NAMED_FIELDS = {
     "n_heads_zero": "model: n_heads must be an integer of at least 1, got 0",
     "d_model_float": "model: d_model must be an integer of at least 1, got 64.0",
     "lora_alpha_string": "model: lora_alpha must be a positive number, got 'a'",
+    "lora_dropout_string": "model: lora_dropout must be a number in [0, 1), got 'a'",
+    "lora_targets_number": "model: lora_targets must be a list of target names, got 5",
+    "lora_targets_string": "model: lora_targets must be a list of target names, got 'wq'",
 }
 
 

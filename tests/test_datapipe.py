@@ -30,7 +30,7 @@ def tcot(toy, rkd):
 # translation CPT
 # ---------------------------------------------------------------------------
 
-def test_translation_cpt_two_instaccording_per_pair(toy):
+def test_translation_cpt_two_instances_per_pair(toy):
     pair = toy.pairs[0]
     records = dp.build_translation_cpt([pair], [], toy.vocab, seed=0)
     assert len(records) == 2
@@ -93,18 +93,40 @@ def test_rkd_harmful_gets_refusal(toy, queries, rkd):
             assert r.a_en == refusal
 
 
-def test_rkd_input_is_wrapped_query(toy, rkd):
-    text = toy.vocab.decode(rkd[0].input_ids)
-    assert text.startswith("<s>[INST] <<SYS>>")
-    assert rkd[0].q_en in text
-    assert text.endswith("[/INST]")
+# each chat builder's records, paired with the query the record poses
+POSED = {
+    "rkd": lambda toy, qs: [(r, r.q_en) for r in dp.build_rkd(qs, toy.teacher, toy.vocab)],
+    "tcot": lambda toy, qs: [(r, r.q_x) for r in dp.build_tcot(
+        dp.build_rkd(qs, toy.teacher, toy.vocab), toy.translate, toy.vocab)],
+    "translation_sft": lambda toy, qs: [
+        (r, "translate: {src}".format(src=r.meta["src"]))
+        for r in dp.build_translation_sft(["translate: {src}"], toy.pairs[:3], toy.vocab)],
+    "direct_sft": lambda toy, qs: [
+        (r, toy.translate(r.meta["q_en"]))
+        for r in dp.build_direct_sft(qs, toy.teacher, toy.translate, toy.vocab)],
+}
 
 
-def test_rkd_unanswerable_query_error(toy):
-    bad = [wd.Query("gibberish", False)]
+@pytest.mark.parametrize("builder", sorted(POSED))
+def test_chat_input_is_wrapped_query(toy, queries, builder):
+    for r, posed in POSED[builder](toy, queries[:5]):
+        assert r.input_ids == inf.render_template(inf.ConversationHistory(pending=posed),
+                                                  toy.vocab)
+        text = toy.vocab.decode(r.input_ids)
+        assert text.startswith("<s>[INST] <<SYS>>")
+        assert posed in text
+        assert text.endswith("[/INST]")
+
+
+@pytest.mark.parametrize("build", [
+    lambda toy, qs: dp.build_rkd(qs, toy.teacher, toy.vocab),
+    lambda toy, qs: dp.build_direct_sft(qs, toy.teacher, toy.translate, toy.vocab),
+], ids=["rkd", "direct_sft"])
+def test_unanswerable_query_error(toy, queries, build):
+    bad = [queries[0], wd.Query("gibberish", False)]
     with pytest.raises(dp.DataError) as err:
-        dp.build_rkd(bad, toy.teacher, toy.vocab)
-    assert "query 0" in str(err.value)
+        build(toy, bad)
+    assert "query 1" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +197,25 @@ def test_translation_sft_target_matches_oracle(toy):
 def test_translation_sft_missing_placeholder(toy):
     with pytest.raises(dp.TemplateError):
         dp.build_translation_sft(["no slot here"], toy.pairs[:1], toy.vocab)
+
+
+# ---------------------------------------------------------------------------
+# direct (no-chain) records
+# ---------------------------------------------------------------------------
+
+def test_direct_sft_layout(toy, queries):
+    v = toy.vocab
+    records = dp.build_direct_sft(queries[:10], toy.teacher, toy.translate, v)
+    assert len(records) == 10
+    for q, r in zip(queries, records):
+        a_en = toy.teacher.answer(q.text)
+        assert r.kind == "direct-sft"
+        assert r.meta == {"q_en": q.text, "a_en": a_en}
+        assert r.input_ids == inf.render_template(
+            inf.ConversationHistory(pending=toy.translate(q.text)), v)
+        assert r.target_ids == ([v.special_id(tok.RESPONSE)] + v.encode(toy.translate(a_en))
+                                + [v.eos_id])
+        assert wd.oracle_translate(toy.spec, v.decode(r.target_ids[1:-1]), "x->en") == a_en
 
 
 # ---------------------------------------------------------------------------
